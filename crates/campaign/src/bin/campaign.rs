@@ -5,29 +5,29 @@
 //! campaign list
 //! campaign expand <spec.toml | builtin-name | --all> [--scale smoke|bench|full]
 //! campaign run <spec.toml | builtin-name> [--scale smoke|bench|full]
-//!              [--out DIR] [--threads N] [--max-trials N] [--batched] [--wide]
+//!              [--out DIR] [--threads N] [--max-trials N] [--wide]
 //!              [--shared] [--worker-id ID] [--lease-ms N] [--obs] [--quiet]
-//! campaign resume <dir> [--threads N] [--max-trials N] [--batched] [--wide]
+//! campaign resume <dir> [--threads N] [--max-trials N] [--wide]
 //!                 [--shared] [--worker-id ID] [--lease-ms N] [--obs] [--quiet]
-//! campaign worker <dir> [--threads N] [--max-trials N] [--batched]
+//! campaign worker <dir> [--threads N] [--max-trials N]
 //!                 [--worker-id ID] [--lease-ms N] [--obs] [--quiet]
 //! campaign status <dir>
 //! campaign profile <dir> [--check]
 //! campaign trace <dir> [--trial N] [--out FILE.json]
 //! campaign top <dir> [--once] [--interval-ms N]
-//! campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--mode TAG] [--out FILE.json]
+//! campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--out FILE.json]
 //! ```
 //!
 //! `expand` validates and expands a scenario without running anything
 //! (CI uses `expand --all` to prove every builtin declares cleanly at
 //! every scale).
 //!
-//! `--batched` runs every trial's evaluation episodes in lock-step on
-//! the batched inference fast path (bit-identical values, higher
-//! throughput); `--wide` appends the per-cell mean/min/max/ci95 spread
-//! table to `summary.txt` (exclusive mode only — in shared mode the
-//! summary must be a pure function of the trial log; render the
-//! spread after completion with `campaign resume <dir> --wide`).
+//! Every trial trains through the batched arena kernels and evaluates
+//! its greedy episodes in lock-step; there is one execution path.
+//! `--wide` appends the per-cell mean/min/max/ci95 spread table to
+//! `summary.txt` (exclusive mode only — in shared mode the summary
+//! must be a pure function of the trial log; render the spread after
+//! completion with `campaign resume <dir> --wide`).
 //!
 //! `--shared` turns the campaign directory into a multi-process work
 //! queue (trials are leased through `claims.jsonl`); `worker` joins an
@@ -67,17 +67,17 @@ fn usage() -> &'static str {
      campaign list\n  \
      campaign expand <spec.toml | builtin-name | --all> [--scale smoke|bench|full]\n  \
      campaign run <spec.toml | builtin-name> [--scale smoke|bench|full] [--out DIR] \
-     [--threads N] [--max-trials N] [--batched] [--wide] [--shared] [--worker-id ID] \
+     [--threads N] [--max-trials N] [--wide] [--shared] [--worker-id ID] \
      [--lease-ms N] [--obs] [--quiet] [--chaos-seed N] [--allow-partial]\n  \
-     campaign resume <dir> [--threads N] [--max-trials N] [--batched] [--wide] [--shared] \
+     campaign resume <dir> [--threads N] [--max-trials N] [--wide] [--shared] \
      [--worker-id ID] [--lease-ms N] [--obs] [--quiet] [--chaos-seed N] [--allow-partial]\n  \
-     campaign worker <dir> [--threads N] [--max-trials N] [--batched] \
+     campaign worker <dir> [--threads N] [--max-trials N] \
      [--worker-id ID] [--lease-ms N] [--obs] [--quiet] [--chaos-seed N] [--allow-partial]\n  \
      campaign status <dir>\n  \
      campaign profile <dir> [--check]\n  \
      campaign trace <dir> [--trial N] [--out FILE.json]\n  \
      campaign top <dir> [--once] [--interval-ms N]\n  \
-     campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--mode TAG] [--out FILE.json]\n\n\
+     campaign perf <dir> [--baseline FILE.json] [--gate PCT] [--out FILE.json]\n\n\
      CAMPAIGN_OBS=1 enables --obs; CAMPAIGN_LOG=quiet|warn|info|debug sets the stderr level;\n\
      CAMPAIGN_CHAOS=seed=N[,rate=P,tag=T,op=K,every=M,persist,latency-ms=L] arms fault \
      injection;\n\
@@ -97,7 +97,6 @@ struct Options {
     interval_ms: u64,
     baseline: Option<PathBuf>,
     gate: Option<f64>,
-    mode: String,
     coord: CoordConfig,
     cfg: RunnerConfig,
     positional: Vec<String>,
@@ -123,7 +122,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         interval_ms: 1000,
         baseline: None,
         gate: None,
-        mode: "per-obs".to_owned(),
         coord: CoordConfig::default(),
         cfg: RunnerConfig { obs: env_obs(), ..RunnerConfig::default() },
         positional: Vec::new(),
@@ -152,7 +150,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.cfg.max_new_trials =
                     Some(take("--max-trials")?.parse().map_err(|e| format!("--max-trials: {e}"))?)
             }
-            "--batched" => opts.cfg.batched = true,
             "--wide" => opts.cfg.wide_summary = true,
             "--shared" => opts.shared = true,
             "--obs" => opts.cfg.obs = true,
@@ -186,7 +183,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--gate" => {
                 opts.gate = Some(take("--gate")?.parse().map_err(|e| format!("--gate: {e}"))?)
             }
-            "--mode" => opts.mode = take("--mode")?.to_owned(),
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             other => opts.positional.push(other.to_owned()),
         }
@@ -415,7 +411,7 @@ fn run_cli(args: &[String]) -> Result<(), String> {
                 return Err(usage().to_owned());
             };
             let dir = PathBuf::from(dir);
-            let record = perf::measure(&dir, &opts.mode)?;
+            let record = perf::measure(&dir)?;
             let rendered = frlfi_campaign::fmt::json::render(&record.to_value());
             if let Some(path) = &opts.out {
                 std::fs::write(path, format!("{rendered}\n"))

@@ -6,8 +6,10 @@
 //! A record is measured from the same obs streams `campaign profile`
 //! reads, so any campaign run with `--obs` can be gated. The baseline
 //! file (`BENCH_campaign.json` at the repo root by convention) holds
-//! one record per `(name, scale, mode)` triple — `mode` distinguishes
-//! per-observation from `--batched` runs of the same scenario — and
+//! one record per `(name, scale, mode)` triple — `mode` names the
+//! execution path that produced the record ([`MODE`] for every new
+//! record; the ledger keeps historical `per-obs` records of the retired
+//! per-observation path) — and
 //! `campaign perf <dir> --baseline <file> --gate <pct>` exits nonzero
 //! when the current run is more than `pct` percent worse than the
 //! matching record: lower `trials_per_s`, or a higher per-trial phase
@@ -25,6 +27,10 @@ use crate::profile::{self, CheckMode};
 /// Record schema version.
 pub const PERF_SCHEMA: u64 = 1;
 
+/// Execution-path tag of every record [`measure`] produces: campaigns
+/// run one path, batched training plus lock-step evaluation.
+pub const MODE: &str = "batched";
+
 /// Phases below this per-trial baseline cost (µs) are excluded from
 /// the per-phase gate: they are measurement noise at quick scales.
 pub const PHASE_GATE_FLOOR_US: f64 = 100.0;
@@ -37,8 +43,9 @@ pub struct PerfRecord {
     pub name: String,
     /// Scenario scale, rendered (`Smoke`/`Bench`/`Full`).
     pub scale: String,
-    /// Execution-mode tag: `per-obs` (default), `batched`, or any
-    /// label the measuring pipeline chooses.
+    /// Execution-path tag: [`MODE`] for measured records; `per-obs`
+    /// for historical records of the retired per-observation path
+    /// (also the value a record without the field parses to).
     pub mode: String,
     /// Completed trial spans across all workers.
     pub trials: u64,
@@ -118,13 +125,13 @@ impl PerfRecord {
 }
 
 /// Measures a perf record from campaign directory `dir`'s obs streams
-/// and manifest. `mode` tags the record (`per-obs`, `batched`, …).
+/// and manifest, tagged [`MODE`].
 ///
 /// # Errors
 ///
 /// An unreadable manifest, unreadable streams, or a campaign with no
 /// completed trial spans (there is nothing to gate).
-pub fn measure(dir: &Path, mode: &str) -> Result<PerfRecord, String> {
+pub fn measure(dir: &Path) -> Result<PerfRecord, String> {
     let scenario = crate::runner::load_scenario(&dir.join("campaign.toml"))?;
     let profile = profile::load_dir(dir, CheckMode::Lenient)?;
     let trials = profile.trials();
@@ -151,7 +158,7 @@ pub fn measure(dir: &Path, mode: &str) -> Result<PerfRecord, String> {
     Ok(PerfRecord {
         name: scenario.name.clone(),
         scale: format!("{:?}", scenario.scale),
-        mode: mode.to_owned(),
+        mode: MODE.to_owned(),
         trials,
         wall_s,
         trials_per_s,
@@ -234,7 +241,7 @@ mod tests {
         PerfRecord {
             name: "fig3a".into(),
             scale: "Smoke".into(),
-            mode: "per-obs".into(),
+            mode: MODE.into(),
             trials: 12,
             wall_s: 2.0,
             trials_per_s: rate,
@@ -279,7 +286,16 @@ mod tests {
     #[test]
     fn mismatched_baseline_is_an_error_not_a_pass() {
         let mut base = record(6.0, 500.0);
-        base.mode = "batched".into();
+        base.mode = "per-obs".into();
         assert!(compare(&record(6.0, 500.0), &[base], 20.0).is_err());
+    }
+
+    #[test]
+    fn historical_records_without_a_mode_parse_as_per_obs() {
+        let mut v = record(6.0, 500.0).to_value();
+        if let Value::Table(m) = &mut v {
+            m.remove("mode");
+        }
+        assert_eq!(PerfRecord::from_value(&v).unwrap().mode, "per-obs");
     }
 }

@@ -75,22 +75,17 @@ pub struct RunnerConfig {
     /// Stop after this many *new* trials (used to exercise the
     /// interrupt/resume path; `None` = run to completion).
     pub max_new_trials: Option<usize>,
-    /// Batched mode: workers claim `(cell, repeat)` trials exactly as
-    /// in per-observation mode, but each trial runs through
-    /// [`crate::Campaign::run_trials_batched`] — training routes its
-    /// forwards/backwards through the [`frlfi::nn::BatchInferCtx`]
-    /// cached-activation arena kernels, and the post-training
-    /// evaluation executes its episodes in lock-step on the same
-    /// arena. Trial values, the persisted log and the final statistics
-    /// are bit-identical to the per-observation mode — only throughput
-    /// changes, so the two modes mix freely across resume sessions.
+    /// Ignored: every trial runs the one execution path (batched
+    /// training and lock-step greedy evaluation, see
+    /// [`crate::Campaign::run_trial`]). The field remains only so that
+    /// callers written against the former two-path API — the
+    /// `benchmark/` crate sets it — keep compiling.
     pub batched: bool,
     /// Append the wide per-cell statistics table (mean / min / max /
     /// 95% CI half-width over repeats) to `summary.txt` after the
     /// standard means grid.
     pub wide_summary: bool,
-    /// Multi-process coordination mode. Per-observation and batched
-    /// trials claim work through the same path in either mode.
+    /// Multi-process coordination mode.
     pub coord: CoordMode,
     /// Stream structured observability events — trial/train/eval
     /// spans, io/aggregate timers, kernel-dispatch counters (see
@@ -644,144 +639,62 @@ fn run_exclusive(
             frlfi_obs::flush();
         };
 
-        if let Some((g, planes)) = &study {
-            // Eval tasks load the frozen artifact planes instead of
-            // retraining: one restored context per worker thread, all
-            // built up front so a plane/shape mismatch degrades at the
-            // task level rather than failing trial by trial.
-            let mut ctxs = Vec::new();
-            for _ in 0..threads.min(new_trials) {
-                match g.context(planes) {
-                    Ok(ctx) => ctxs.push(ctx),
-                    Err(e) => {
-                        let worker = format!("x{}", std::process::id());
-                        quarantine_train_task(
-                            dir,
-                            g,
-                            0,
-                            &worker,
-                            format!("restore eval context: {e}"),
-                        );
-                        let poisoned = undone_flats(&done, repeats);
-                        return finalize(campaign, dir, cfg, &done, completed, 0, poisoned);
-                    }
+        // Study eval tasks load the frozen artifact planes instead of
+        // retraining: one restored context per worker thread, all built
+        // up front so a plane/shape mismatch degrades at the task level
+        // rather than failing trial by trial. Classic workers need none.
+        let workers = threads.min(new_trials);
+        let mut ctxs: Vec<Option<frlfi::experiments::study::StudyCtx>> = Vec::new();
+        for _ in 0..workers {
+            let Some((g, planes)) = &study else {
+                ctxs.push(None);
+                continue;
+            };
+            match g.context(planes) {
+                Ok(ctx) => ctxs.push(Some(ctx)),
+                Err(e) => {
+                    let worker = format!("x{}", std::process::id());
+                    quarantine_train_task(dir, g, 0, &worker, format!("restore eval context: {e}"));
+                    let poisoned = undone_flats(&done, repeats);
+                    return finalize(campaign, dir, cfg, &done, completed, 0, poisoned);
                 }
             }
-            std::thread::scope(|scope| {
-                for mut ctx in ctxs {
-                    let (cursor, pending) = (&cursor, &pending);
-                    let (commit, quarantine_trial) = (&commit, &quarantine_trial);
-                    scope.spawn(move || {
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(cell, rep)) = pending.get(i) else { break };
-                            let flat = cell * repeats + rep;
-                            let seed = campaign.trial_seed(flat);
-                            // Per-observation vs --batched is a no-op
-                            // here: a study eval is the same
-                            // frozen-weight rollout either way.
-                            // The trial span stays live across the
-                            // commit so the io timer (and any child
-                            // span) is parented to the trial.
-                            let _trial = frlfi_obs::span_trial("trial", flat as u64);
-                            let value = g.eval_cell(&mut ctx, cell, seed);
-                            match value {
-                                Ok(value) => {
-                                    if let Err(e) = commit(cell, rep, seed, value) {
-                                        quarantine_trial(cell, rep, e);
-                                    }
-                                }
-                                Err(e) => {
-                                    quarantine_trial(cell, rep, format!("trial failed: {e}"));
-                                }
-                            }
-                            // Per-trial event flush once the span has
-                            // closed: a killed worker's obs stream
-                            // still covers every committed trial.
-                            drop(_trial);
-                            frlfi_obs::flush();
-                        }
-                    });
-                }
-            });
-        } else if cfg.batched {
-            // Batched mode: the work unit is one (cell, repeat) trial,
-            // exactly as in per-observation mode — the batch axis
-            // lives *inside* a trial (its evaluation episodes run in
-            // lock-step through the per-worker BatchInferCtx arena),
-            // so per-trial sharding costs no batching opportunity
-            // while keeping per-trial durability: every finished trial
-            // is persisted before the next one starts, and a kill
-            // loses at most the trial in flight.
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(new_trials) {
-                    scope.spawn(|| {
-                        let mut ctx = frlfi::nn::BatchInferCtx::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(cell, rep)) = pending.get(i) else { break };
-                            let flat = cell * repeats + rep;
-                            let seed = campaign.trial_seed(flat);
-                            // Span covers the commit: io attributes
-                            // to the trial in the causal tree.
-                            let _trial = frlfi_obs::span_trial("trial", flat as u64);
-                            let values = campaign.run_trials_batched(cell, &[seed], &mut ctx);
-                            // A failed trial (e.g. a mis-shaped
-                            // observation reaching the policy network)
-                            // is quarantined like an I/O-poisoned one:
-                            // durably recorded, excluded from this
-                            // run's progress, queue keeps draining.
-                            match values {
-                                Ok(values) => {
-                                    if let Err(e) = commit(cell, rep, seed, values[0]) {
-                                        quarantine_trial(cell, rep, e);
-                                    }
-                                }
-                                Err(e) => quarantine_trial(cell, rep, format!("trial failed: {e}")),
-                            }
-                            // Per-trial event flush once the span has
-                            // closed: a killed worker's obs stream
-                            // still covers every committed trial.
-                            drop(_trial);
-                            frlfi_obs::flush();
-                        }
-                    });
-                }
-            });
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(new_trials) {
-                    scope.spawn(|| {
-                        // One inference scratch arena per worker, reused
-                        // across every trial this worker evaluates.
-                        let mut ctx = frlfi::nn::InferCtx::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(cell, rep)) = pending.get(i) else { break };
-                            let flat = cell * repeats + rep;
-                            let seed = campaign.trial_seed(flat);
-                            // Span covers the commit: io attributes
-                            // to the trial in the causal tree.
-                            let _trial = frlfi_obs::span_trial("trial", flat as u64);
-                            let value = campaign.run_trial_ctx(cell, seed, &mut ctx);
-                            match value {
-                                Ok(value) => {
-                                    if let Err(e) = commit(cell, rep, seed, value) {
-                                        quarantine_trial(cell, rep, e);
-                                    }
-                                }
-                                Err(e) => quarantine_trial(cell, rep, format!("trial failed: {e}")),
-                            }
-                            // Per-trial event flush once the span has
-                            // closed: a killed worker's obs stream
-                            // still covers every committed trial.
-                            drop(_trial);
-                            frlfi_obs::flush();
-                        }
-                    });
-                }
-            });
         }
+        std::thread::scope(|scope| {
+            for mut ctx in ctxs {
+                let (cursor, pending, study) = (&cursor, &pending, &study);
+                let (commit, quarantine_trial) = (&commit, &quarantine_trial);
+                scope.spawn(move || {
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(cell, rep)) = pending.get(i) else { break };
+                        let flat = cell * repeats + rep;
+                        let seed = campaign.trial_seed(flat);
+                        // The trial span stays live across the commit so
+                        // the io timer (and any child span) is parented
+                        // to the trial in the causal tree.
+                        let _trial = frlfi_obs::span_trial("trial", flat as u64);
+                        let value = match (study, ctx.as_mut()) {
+                            (Some((g, _)), Some(ctx)) => g.eval_cell(ctx, cell, seed),
+                            _ => campaign.run_trial(cell, seed),
+                        };
+                        match value {
+                            Ok(value) => {
+                                if let Err(e) = commit(cell, rep, seed, value) {
+                                    quarantine_trial(cell, rep, e);
+                                }
+                            }
+                            Err(e) => quarantine_trial(cell, rep, format!("trial failed: {e}")),
+                        }
+                        // Per-trial event flush once the span has closed:
+                        // a killed worker's obs stream still covers every
+                        // committed trial.
+                        drop(_trial);
+                        frlfi_obs::flush();
+                    }
+                });
+            }
+        });
 
         for (cell, rep, value) in
             fresh.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1193,8 +1106,6 @@ fn run_shared(
             scope.spawn(move || {
                 let study = campaign.study();
                 let mut study_ctx: Option<frlfi::experiments::study::StudyCtx> = None;
-                let mut obs_ctx = frlfi::nn::InferCtx::new();
-                let mut batch_ctx = frlfi::nn::BatchInferCtx::new();
                 // Stagger each claimer's scan start so workers spread
                 // over the queue instead of racing for trial 0 (any
                 // claim order is correct; this only reduces contention).
@@ -1360,10 +1271,7 @@ fn run_shared(
                     let _trial = frlfi_obs::span_trial("trial", trial as u64);
                     let value = match (study, study_ctx.as_mut()) {
                         (Some(g), Some(ctx)) => g.eval_cell(ctx, cell, seed),
-                        _ if cfg.batched => {
-                            campaign.run_trials_batched(cell, &[seed], &mut batch_ctx).map(|v| v[0])
-                        }
-                        _ => campaign.run_trial_ctx(cell, seed, &mut obs_ctx),
+                        _ => campaign.run_trial(cell, seed),
                     };
                     let value = match value {
                         Ok(v) => v,

@@ -868,70 +868,9 @@ impl Campaign {
     ///
     /// Panics if `cell` is out of range.
     pub fn run_trial(&self, cell: usize, seed: u64) -> Result<f64, frlfi::FrlfiError> {
-        self.run_trial_ctx(cell, seed, &mut frlfi::nn::InferCtx::new())
-    }
-
-    /// [`Campaign::run_trial`] with an external inference scratch
-    /// context. The runner allocates one per worker thread and reuses
-    /// it across every trial that worker evaluates; trial values are
-    /// unaffected (the fast path is bit-identical to the slow one).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Campaign::run_trial`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn run_trial_ctx(
-        &self,
-        cell: usize,
-        seed: u64,
-        ctx: &mut frlfi::nn::InferCtx,
-    ) -> Result<f64, frlfi::FrlfiError> {
         match &self.trials {
-            Trials::Grid(t) => frlfi::experiments::harness::run_grid_trial_ctx(&t[cell], seed, ctx),
-            Trials::Drone(t) => {
-                frlfi::experiments::harness::run_drone_trial_ctx(&t[cell], seed, ctx)
-            }
-            Trials::Study(g) => Err(frlfi::FrlfiError::BadConfig {
-                detail: format!(
-                    "study \"{}\" trials evaluate against a trained-model context \
-                     (StudyGeometry::eval_cell), not the train-per-trial path",
-                    g.kind.name()
-                ),
-            }),
-        }
-    }
-
-    /// Evaluates one cell's shard of repeats on the **batched** fast
-    /// paths: each trial trains through the cached-activation arena
-    /// kernels and runs its post-training evaluation in lock-step
-    /// through one shared [`frlfi::nn::BatchInferCtx`], and values come
-    /// back in `seeds` order, bit-identical to
-    /// [`Campaign::run_trial_ctx`] per `(cell, seed)`. This is the
-    /// batched runner mode's work unit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Campaign::run_trial`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn run_trials_batched(
-        &self,
-        cell: usize,
-        seeds: &[u64],
-        ctx: &mut frlfi::nn::BatchInferCtx,
-    ) -> Result<Vec<f64>, frlfi::FrlfiError> {
-        match &self.trials {
-            Trials::Grid(t) => {
-                frlfi::experiments::harness::run_grid_trials_batched(&t[cell], seeds, ctx)
-            }
-            Trials::Drone(t) => {
-                frlfi::experiments::harness::run_drone_trials_batched(&t[cell], seeds, ctx)
-            }
+            Trials::Grid(t) => frlfi::experiments::harness::run_grid_trial(&t[cell], seed),
+            Trials::Drone(t) => frlfi::experiments::harness::run_drone_trial(&t[cell], seed),
             Trials::Study(g) => Err(frlfi::FrlfiError::BadConfig {
                 detail: format!(
                     "study \"{}\" trials evaluate against a trained-model context \
@@ -1151,11 +1090,6 @@ mod tests {
     fn study_trials_reject_the_train_per_trial_path_with_a_typed_error() {
         let c = Scenario::study("fig4", StudySpec::Fig4, Scale::Smoke).expand().expect("expands");
         let err = c.run_trial(0, c.trial_seed(0)).unwrap_err().to_string();
-        assert!(err.contains("eval_cell"), "{err}");
-        let err = c
-            .run_trials_batched(0, &[c.trial_seed(0)], &mut frlfi::nn::BatchInferCtx::new())
-            .unwrap_err()
-            .to_string();
         assert!(err.contains("eval_cell"), "{err}");
     }
 

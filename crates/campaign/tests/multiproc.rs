@@ -7,7 +7,7 @@
 //!   are reaped, its trials re-run bitwise-identically, and the final
 //!   artifacts are unchanged;
 //! * the shared-queue mode is bit-identical to the exclusive runner
-//!   in-process too, per-observation and `--batched` alike.
+//!   in-process too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -120,8 +120,7 @@ fn three_worker_processes_match_the_single_process_run_byte_for_byte() {
     let dir_s = dir.to_str().expect("utf8");
 
     // Process 1 opens the campaign in shared mode; processes 2 and 3
-    // join it as workers once the manifest exists — one of them on the
-    // batched path, because modes mix freely inside one campaign.
+    // join it as workers once the manifest exists.
     let first = spawn_cli(&[
         "run",
         spec.to_str().expect("utf8"),
@@ -135,7 +134,7 @@ fn three_worker_processes_match_the_single_process_run_byte_for_byte() {
     ]);
     wait_for("campaign manifest", Duration::from_secs(30), || dir.join("campaign.toml").exists());
     let second = spawn_cli(&["worker", dir_s, "--threads", "1", "--worker-id", "p2"]);
-    let third = spawn_cli(&["worker", dir_s, "--threads", "1", "--batched", "--worker-id", "p3"]);
+    let third = spawn_cli(&["worker", dir_s, "--threads", "1", "--worker-id", "p3"]);
 
     let outputs = [
         wait_output(first, "shared run"),
@@ -197,17 +196,8 @@ fn two_processes_share_a_drone_builtin_campaign_byte_for_byte() {
 
     let a =
         spawn_cli(&["worker", dir_s, "--lease-ms", "600", "--threads", "1", "--worker-id", "a"]);
-    let b = spawn_cli(&[
-        "worker",
-        dir_s,
-        "--lease-ms",
-        "600",
-        "--threads",
-        "1",
-        "--batched",
-        "--worker-id",
-        "b",
-    ]);
+    let b =
+        spawn_cli(&["worker", dir_s, "--lease-ms", "600", "--threads", "1", "--worker-id", "b"]);
     let out_a = wait_output(a, "drone worker a");
     let out_b = wait_output(b, "drone worker b");
     assert_eq!(summary(&dir), reference, "drone multi-process summary must be byte-identical");
@@ -317,30 +307,46 @@ fn shared_mode_is_bit_identical_to_exclusive_in_process() {
             .expect("reference");
     let ref_stats = reference.stats.expect("complete");
 
-    for batched in [false, true] {
-        let dir = temp_dir("inproc-shared");
-        let out = runner::run(
-            &scenario,
-            &dir,
-            &RunnerConfig {
-                threads: 3,
-                batched,
-                coord: CoordMode::Shared(CoordConfig::default()),
-                ..RunnerConfig::default()
-            },
-        )
-        .expect("shared run");
-        assert!(out.complete());
-        let stats = out.stats.expect("complete");
-        assert_eq!(stats.len(), ref_stats.len());
-        for (s, r) in stats.iter().zip(ref_stats.iter()) {
-            assert_eq!(s.mean.to_bits(), r.mean.to_bits(), "batched={batched}");
-            assert_eq!(s.std.to_bits(), r.std.to_bits(), "batched={batched}");
-        }
-        assert_eq!(summary(&dir), summary(&ref_dir), "batched={batched}");
-        std::fs::remove_dir_all(&dir).ok();
+    let dir = temp_dir("inproc-shared");
+    let out = runner::run(
+        &scenario,
+        &dir,
+        &RunnerConfig {
+            threads: 3,
+            coord: CoordMode::Shared(CoordConfig::default()),
+            ..RunnerConfig::default()
+        },
+    )
+    .expect("shared run");
+    assert!(out.complete());
+    let stats = out.stats.expect("complete");
+    assert_eq!(stats.len(), ref_stats.len());
+    for (s, r) in stats.iter().zip(ref_stats.iter()) {
+        assert_eq!(s.mean.to_bits(), r.mean.to_bits());
+        assert_eq!(s.std.to_bits(), r.std.to_bits());
     }
+    assert_eq!(summary(&dir), summary(&ref_dir));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
+}
+
+#[test]
+fn retired_batched_flag_is_an_unknown_option() {
+    // One execution path remains; the flag that selected between two
+    // must fail loudly rather than be silently accepted.
+    let dir = temp_dir("no-batched");
+    let (ok, out) = run_cli(&[
+        "run",
+        "fig3a",
+        "--scale",
+        "smoke",
+        "--out",
+        dir.to_str().expect("utf8"),
+        "--batched",
+    ]);
+    assert!(!ok, "--batched must be rejected: {out}");
+    assert!(out.contains("unknown option \"--batched\""), "{out}");
+    assert!(!dir.exists(), "a rejected command line must not start a campaign");
 }
 
 #[test]

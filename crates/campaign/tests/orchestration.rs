@@ -115,48 +115,6 @@ fn interrupted_campaign_resumes_bit_identically_across_thread_counts() {
 }
 
 #[test]
-fn batched_mode_matches_per_observation_mode_bitwise() {
-    let scenario = cheap_grid_scenario("batched-mode");
-    let ref_dir = temp_dir("batched-ref");
-    let reference = runner::run(&scenario, &ref_dir, &RunnerConfig::default()).expect("reference");
-    let ref_stats = reference.stats.expect("complete");
-
-    for &threads in &[1usize, 3] {
-        let dir = temp_dir("batched");
-        let out = runner::run(
-            &scenario,
-            &dir,
-            &RunnerConfig { threads, batched: true, ..RunnerConfig::default() },
-        )
-        .expect("batched run");
-        assert!(out.complete());
-        assert_stats_bit_identical(&ref_stats, &out.stats.expect("complete"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    // Modes mix freely across resume legs: a batched leg continues a
-    // per-observation leg and the final statistics are unchanged.
-    let dir = temp_dir("batched-mixed");
-    runner::run(
-        &scenario,
-        &dir,
-        &RunnerConfig { threads: 2, max_new_trials: Some(2), ..RunnerConfig::default() },
-    )
-    .expect("per-observation leg");
-    let out = runner::run(
-        &scenario,
-        &dir,
-        &RunnerConfig { threads: 2, batched: true, ..RunnerConfig::default() },
-    )
-    .expect("batched resume leg");
-    assert!(out.complete());
-    assert!(out.new_trials < out.total_trials, "resume must skip persisted trials");
-    assert_stats_bit_identical(&ref_stats, &out.stats.expect("complete"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&ref_dir).ok();
-}
-
-#[test]
 fn wide_summary_adds_spread_columns_without_touching_the_means_grid() {
     let scenario = cheap_grid_scenario("wide-summary");
     let plain_dir = temp_dir("wide-off");
@@ -168,7 +126,7 @@ fn wide_summary_adds_spread_columns_without_touching_the_means_grid() {
     let out = runner::run(
         &scenario,
         &wide_dir,
-        &RunnerConfig { wide_summary: true, batched: true, ..RunnerConfig::default() },
+        &RunnerConfig { wide_summary: true, ..RunnerConfig::default() },
     )
     .expect("wide");
     let text = std::fs::read_to_string(wide_dir.join("summary.txt")).expect("summary");
@@ -312,11 +270,11 @@ fn new_scenario_variants_run_end_to_end() {
 }
 
 #[test]
-fn drone_scenario_variants_run_end_to_end_in_both_modes() {
+fn drone_scenario_variants_run_end_to_end_independent_of_thread_count() {
     // Trimmed drone-dynamic / drone-dropout campaigns: each runs to
-    // completion sequentially and batched, with bit-identical
-    // statistics between the modes (the full builtin geometry is
-    // pinned by tests/golden_equivalence.rs).
+    // completion on one and on two worker threads, with bit-identical
+    // statistics and summaries (the full builtin geometry is pinned by
+    // tests/golden_equivalence.rs).
     for name in ["drone-dynamic", "drone-dropout"] {
         let mut scenario = registry::builtin(name, Scale::Smoke).expect("built-in");
         scenario.fault.bers = vec![0.0, 1e-2];
@@ -327,8 +285,12 @@ fn drone_scenario_variants_run_end_to_end_in_both_modes() {
         scenario.repeats = Some(2);
 
         let seq_dir = temp_dir(&format!("{name}-seq"));
-        let seq = runner::run(&scenario, &seq_dir, &RunnerConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let seq = runner::run(
+            &scenario,
+            &seq_dir,
+            &RunnerConfig { threads: 1, ..RunnerConfig::default() },
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(seq.complete(), "{name}");
         let seq_stats = seq.stats.expect("complete");
         let max = 361.0 * 2.0; // full step budget × speed
@@ -337,23 +299,23 @@ fn drone_scenario_variants_run_end_to_end_in_both_modes() {
             "{name}: flight distances out of range: {seq_stats:?}"
         );
 
-        let bat_dir = temp_dir(&format!("{name}-bat"));
-        let bat = runner::run(
+        let par_dir = temp_dir(&format!("{name}-par"));
+        let par = runner::run(
             &scenario,
-            &bat_dir,
-            &RunnerConfig { threads: 2, batched: true, ..RunnerConfig::default() },
+            &par_dir,
+            &RunnerConfig { threads: 2, ..RunnerConfig::default() },
         )
-        .unwrap_or_else(|e| panic!("{name} batched: {e}"));
-        assert!(bat.complete(), "{name} batched");
-        assert_stats_bit_identical(&seq_stats, &bat.stats.expect("complete"));
+        .unwrap_or_else(|e| panic!("{name} on two threads: {e}"));
+        assert!(par.complete(), "{name} on two threads");
+        assert_stats_bit_identical(&seq_stats, &par.stats.expect("complete"));
 
-        // The two modes also render byte-identical summaries.
+        // Both runs also render byte-identical summaries.
         let seq_text = std::fs::read_to_string(seq_dir.join("summary.txt")).expect("summary");
-        let bat_text = std::fs::read_to_string(bat_dir.join("summary.txt")).expect("summary");
-        assert_eq!(seq_text, bat_text, "{name}: summary must not depend on the eval mode");
+        let par_text = std::fs::read_to_string(par_dir.join("summary.txt")).expect("summary");
+        assert_eq!(seq_text, par_text, "{name}: summary must not depend on the thread count");
 
         std::fs::remove_dir_all(&seq_dir).ok();
-        std::fs::remove_dir_all(&bat_dir).ok();
+        std::fs::remove_dir_all(&par_dir).ok();
     }
 }
 

@@ -5,15 +5,17 @@
 //! weight artifacts, eval tasks load them — and the bar is the same
 //! one every other campaign has pinned: the completed `summary.txt`
 //! must be **byte-identical** to the sequential figure driver's table,
-//! across thread counts, interrupt/resume, artifact corruption,
-//! batched vs per-observation evaluation, and shared-mode
-//! coordination, while every model trains exactly once per campaign
-//! directory (asserted from the append-only `artifacts.jsonl`).
+//! across thread counts, interrupt/resume, artifact corruption and
+//! shared-mode coordination, while every model trains exactly once per
+//! campaign directory (asserted from the append-only `artifacts.jsonl`).
+//! The driver and the DAG train through the same call, so the trained
+//! planes themselves are pinned to golden digests as well.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use frlfi::experiments::study::StudyKind;
+use frlfi::nn::{encode_weight_planes, weight_digest};
 use frlfi::Scale;
 use frlfi_campaign::{artifacts, registry, runner, CoordConfig, CoordMode, RunnerConfig};
 
@@ -118,14 +120,35 @@ fn committed_fig4_golden_matches_the_sequential_driver() {
     );
 }
 
+/// Artifact digests ([`weight_digest`] of the encoded planes) of every
+/// model the smoke-scale studies train: fig4's 3-agent fleet and
+/// single-agent baseline, and fig8b's drone fleet.
+const STUDY_MODEL_DIGESTS: [(StudyKind, &[u64]); 2] = [
+    (StudyKind::Fig4, &[0xefec_bcda_dc32_f574, 0xc9b2_2495_e123_ceba]),
+    (StudyKind::Fig8Drone, &[0xc9ba_da49_c897_63df]),
+];
+
 #[test]
-fn interrupted_study_resumes_across_modes_and_a_torn_artifact_to_identical_bytes() {
+fn study_models_train_to_pinned_weight_digests() {
+    for (kind, pinned) in STUDY_MODEL_DIGESTS {
+        let g = kind.geometry(Scale::Smoke).expect("study geometry");
+        let digests: Vec<u64> = g
+            .models()
+            .iter()
+            .map(|m| weight_digest(&encode_weight_planes(&m.train().expect("model trains"))))
+            .collect();
+        assert_eq!(digests, pinned, "{kind:?}: trained planes drifted from the pinned digests");
+    }
+}
+
+#[test]
+fn interrupted_study_resumes_across_thread_counts_and_a_torn_artifact_to_identical_bytes() {
     let reference = driver_table(StudyKind::Fig4);
     let scenario = registry::builtin("fig4", Scale::Smoke).expect("fig4");
     let total = scenario.expand().expect("expand").total_trials();
     let dir = temp_dir("fig4-resume");
 
-    // Leg 1, per-observation: a trial budget interrupts the campaign
+    // Leg 1, one thread: a trial budget interrupts the campaign
     // after three eval trials — but both train tasks run up front, so
     // the artifacts have already landed.
     let leg1 = runner::run(
@@ -144,20 +167,15 @@ fn interrupted_study_resumes_across_modes_and_a_torn_artifact_to_identical_bytes
     // and not silently evaluate a corrupt model.
     std::fs::write(artifacts::model_path(&dir, 0), b"torn mid-write").expect("corrupt artifact");
 
-    // Leg 2, batched: evaluation modes mix freely across resume
-    // sessions, and the final bytes must not care about any of it.
-    let leg2 = runner::run(
-        &scenario,
-        &dir,
-        &RunnerConfig { threads: 2, batched: true, ..Default::default() },
-    )
-    .expect("resume leg");
+    // Leg 2, two threads: the final bytes must not care about any of it.
+    let leg2 = runner::run(&scenario, &dir, &RunnerConfig { threads: 2, ..Default::default() })
+        .expect("resume leg");
     assert!(leg2.complete());
     assert_eq!(leg2.new_trials, total - 3, "resume must skip the persisted trials");
     assert_eq!(
         summary(&dir),
         reference,
-        "interrupt + mode switch + torn artifact must not change a byte"
+        "interrupt + thread-count switch + torn artifact must not change a byte"
     );
 
     // The retrain republished model 0; deterministic training means

@@ -2,12 +2,12 @@ use crate::config::{DroneLayout, DroneSystemConfig};
 use crate::error::FrlfiError;
 use crate::injection::MitigationStats;
 use crate::injection::{InjectionPlan, ReprKind, TrainingMitigation};
-use frlfi_envs::{DroneConfig, DroneSim, Environment, ObstacleMotion};
+use frlfi_envs::{DroneConfig, DroneSim, ObstacleMotion};
 use frlfi_fault::{inject_slice_ber, Ber, FaultModel, FaultRecord, FaultSide};
 use frlfi_federated::{RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
-use frlfi_nn::{BatchInferCtx, InferCtx};
-use frlfi_rl::{run_episode, run_episode_batched, run_greedy_episodes_batch, Learner, Reinforce};
+use frlfi_nn::BatchInferCtx;
+use frlfi_rl::{run_episode, run_greedy_episodes_batch, Learner, Reinforce};
 use frlfi_tensor::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,6 +48,9 @@ pub struct DroneFrlSystem {
     last_records: Vec<FaultRecord>,
     mitigation_stats: MitigationStats,
     pretrained: bool,
+    /// Scratch arena every training and greedy-evaluation forward and
+    /// backward runs through (pure scratch: never part of the result).
+    ctx: BatchInferCtx,
 }
 
 impl DroneFrlSystem {
@@ -117,6 +120,7 @@ impl DroneFrlSystem {
             last_records: Vec::new(),
             mitigation_stats: MitigationStats::default(),
             pretrained: false,
+            ctx: BatchInferCtx::new(),
             cfg,
         })
     }
@@ -196,11 +200,8 @@ impl DroneFrlSystem {
             derive_seed(self.cfg.seed, 0x0FF),
         );
         let mut rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0x0FF + 1));
-        // Pre-training stays on the sequential reference path in every
-        // mode: campaigns share one pretrained weight vector across
-        // cells, and a single code path keeps it trivially identical.
         for _ in 0..self.cfg.pretrain_episodes {
-            run_episode(&mut env, &mut learner, &mut rng)?;
+            run_episode(&mut env, &mut learner, &mut rng, &mut self.ctx)?;
         }
         let weights = learner.network().snapshot();
         for d in &mut self.drones {
@@ -232,46 +233,19 @@ impl DroneFrlSystem {
 
     /// Online federated fine-tuning for `episodes` episodes, optionally
     /// applying a dynamic [`InjectionPlan`] (episode index relative to
-    /// this call) and the training-time mitigation scheme.
+    /// this call) and the training-time mitigation scheme. Every
+    /// drone's per-episode REINFORCE update runs as one batched
+    /// forward/backward over the episode's kept steps through the
+    /// system's cached-activation arena ([`frlfi_rl::run_episode`]).
     ///
     /// # Errors
     ///
-    /// Propagates aggregation or restore failures.
+    /// Propagates training, aggregation or restore failures.
     pub fn fine_tune(
         &mut self,
         episodes: usize,
         plan: Option<&InjectionPlan>,
         mitigation: Option<&TrainingMitigation>,
-    ) -> Result<(), FrlfiError> {
-        self.fine_tune_impl(episodes, plan, mitigation, None)
-    }
-
-    /// [`DroneFrlSystem::fine_tune`] on the **batched-training** fast
-    /// path: every drone's per-episode REINFORCE update runs as one
-    /// batched forward/backward over the episode's kept steps through
-    /// `ctx`'s cached-activation arena ([`frlfi_rl::run_episode_batched`]).
-    /// Actions, RNG streams, episode boundaries and the fine-tuned
-    /// weights are **bit-identical** to [`DroneFrlSystem::fine_tune`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training, aggregation or restore failures.
-    pub fn fine_tune_batched(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        ctx: &mut BatchInferCtx,
-    ) -> Result<(), FrlfiError> {
-        self.fine_tune_impl(episodes, plan, mitigation, Some(ctx))
-    }
-
-    fn fine_tune_impl(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        mut batch_ctx: Option<&mut BatchInferCtx>,
     ) -> Result<(), FrlfiError> {
         let mut detector = mitigation
             .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_drones));
@@ -285,12 +259,12 @@ impl DroneFrlSystem {
             let mut rewards = Vec::with_capacity(self.cfg.n_drones);
             for i in 0..self.cfg.n_drones {
                 self.drones[i].set_episode(global_ep);
-                let (env, drone, rng) =
-                    (&mut self.envs[i], &mut self.drones[i], &mut self.drone_rngs[i]);
-                let summary = match batch_ctx.as_deref_mut() {
-                    Some(ctx) => run_episode_batched(env, drone, rng, ctx)?,
-                    None => run_episode(env, drone, rng)?,
-                };
+                let summary = run_episode(
+                    &mut self.envs[i],
+                    &mut self.drones[i],
+                    &mut self.drone_rngs[i],
+                    &mut self.ctx,
+                )?;
                 rewards.push(summary.total_reward);
             }
 
@@ -426,64 +400,16 @@ impl DroneFrlSystem {
     /// Average safe flight distance (m) of the fleet under greedy
     /// exploitation, over `attempts` evaluation corridors per drone.
     /// Evaluation uses the full step budget of `cfg.sim` regardless of
-    /// the (shorter) training cap.
+    /// the (shorter) training cap. Each drone's corridors run in
+    /// lock-step, one batched forward per step over its conv policy
+    /// ([`frlfi_rl::run_greedy_episodes_batch`]), retiring finished
+    /// corridors from the batch; every corridor keeps its own
+    /// seed-derived environment and RNG stream.
     pub fn safe_flight_distance(&mut self, attempts: usize) -> f64 {
-        self.safe_flight_distance_ctx(attempts, &mut InferCtx::new())
-    }
-
-    /// [`DroneFrlSystem::safe_flight_distance`] on the zero-allocation
-    /// inference fast path, reusing `ctx` across every evaluation step
-    /// of every drone (campaign workers keep one context per thread).
-    pub fn safe_flight_distance_ctx(&mut self, attempts: usize, ctx: &mut InferCtx) -> f64 {
         let mut total = 0.0;
         let mut count = 0;
         for i in 0..self.cfg.n_drones {
-            for a in 0..attempts {
-                let seed = derive_seed(self.cfg.seed, 0xEA17 + (i * attempts + a) as u64);
-                let mut env = DroneSim::new(self.cfg.sim, seed);
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x1);
-                let mut state = env.reset(&mut rng);
-                loop {
-                    let action = self.drones[i]
-                        .act_greedy_ctx(&state, ctx)
-                        .expect("drone policy and observation shapes are fixed at construction");
-                    let step = env.step(action, &mut rng);
-                    state = step.state;
-                    if step.outcome.is_terminal() {
-                        break;
-                    }
-                }
-                total += env.distance() as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
-    /// [`DroneFrlSystem::safe_flight_distance`] on the **batched**
-    /// inference fast path: each drone's `attempts` evaluation
-    /// corridors run in lock-step, one batched forward per step over
-    /// the drone's conv policy ([`frlfi_rl::run_greedy_episodes_batch`]),
-    /// retiring finished corridors from the batch. Every batched action
-    /// is bit-identical to single-observation greedy selection and
-    /// every corridor keeps its own seed-derived environment and RNG
-    /// streams, so the returned distance matches
-    /// [`DroneFrlSystem::safe_flight_distance_ctx`] bit for bit.
-    pub fn safe_flight_distance_batched(
-        &mut self,
-        attempts: usize,
-        ctx: &mut BatchInferCtx,
-    ) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0;
-        for i in 0..self.cfg.n_drones {
-            // One derivation per corridor, shared by its env and RNG,
-            // so the pair can never desynchronize from the sequential
-            // path's seed scheme.
+            // One derivation per corridor, shared by its env and RNG.
             let seeds: Vec<u64> = (0..attempts)
                 .map(|a| derive_seed(self.cfg.seed, 0xEA17 + (i * attempts + a) as u64))
                 .collect();
@@ -491,10 +417,10 @@ impl DroneFrlSystem {
                 seeds.iter().map(|&s| DroneSim::new(self.cfg.sim, s)).collect();
             let mut rngs: Vec<StdRng> =
                 seeds.iter().map(|&s| StdRng::seed_from_u64(s ^ 0x1)).collect();
-            run_greedy_episodes_batch(&mut self.drones[i], &mut envs, &mut rngs, ctx)
+            run_greedy_episodes_batch(&mut self.drones[i], &mut envs, &mut rngs, &mut self.ctx)
                 .expect("drone policy and observation shapes are fixed at construction");
-            // Sum in the exact (drone, attempt) order of the sequential
-            // path so the mean folds identically.
+            // Sum in (drone, attempt) order so the mean folds the same
+            // way for every batch layout.
             for env in &envs {
                 total += env.distance() as f64;
                 count += 1;
@@ -622,37 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_flight_distance_matches_sequential_bitwise() {
-        let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
-        s.pretrain().unwrap();
-        s.fine_tune(2, None, None).unwrap();
-        for attempts in [1usize, 3] {
-            let seq = s.safe_flight_distance_ctx(attempts, &mut InferCtx::new());
-            let bat = s.safe_flight_distance_batched(attempts, &mut BatchInferCtx::new());
-            assert_eq!(bat.to_bits(), seq.to_bits(), "attempts {attempts}");
-        }
-    }
-
-    #[test]
-    fn batched_fine_tuning_matches_sequential_weights() {
-        let run = |batched: bool| {
-            let mut s = DroneFrlSystem::new(tiny_cfg(2)).unwrap();
-            s.pretrain().unwrap();
-            if batched {
-                s.fine_tune_batched(4, None, None, &mut BatchInferCtx::new()).unwrap();
-            } else {
-                s.fine_tune(4, None, None).unwrap();
-            }
-            s.drone(0).network().snapshot()
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "fine-tuned weights must be bit-identical across training paths"
-        );
-    }
-
-    #[test]
     fn rejects_invalid_dropout() {
         let cfg = DroneSystemConfig { dropout: Some(1.5), ..tiny_cfg(2) };
         assert!(DroneFrlSystem::new(cfg).is_err());
@@ -704,19 +599,29 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_batched_flight_distance_matches_sequential_bitwise() {
-        // The lock-step corridor eval must handle per-drone dynamic
-        // layouts: every corridor's obstacle clock is its own episode
-        // step counter, which batch retirement must not disturb.
+    fn dynamic_lock_step_corridors_match_corridors_flown_alone() {
+        // Every corridor's obstacle clock is its own episode step
+        // counter, which retiring finished corridors from the batch
+        // must not disturb: the lock-step mean equals the mean of the
+        // same corridors flown one at a time.
         let cfg = DroneSystemConfig { layout: DroneLayout::DynamicObstacles, ..tiny_cfg(2) };
         let mut s = DroneFrlSystem::new(cfg).unwrap();
         s.pretrain().unwrap();
         s.fine_tune(2, None, None).unwrap();
-        for attempts in [1usize, 3] {
-            let seq = s.safe_flight_distance_ctx(attempts, &mut InferCtx::new());
-            let bat = s.safe_flight_distance_batched(attempts, &mut BatchInferCtx::new());
-            assert_eq!(bat.to_bits(), seq.to_bits(), "attempts {attempts}");
+        let attempts = 3;
+        let lock_step = s.safe_flight_distance(attempts);
+        let mut total = 0.0;
+        for i in 0..2 {
+            for a in 0..attempts {
+                let seed = derive_seed(s.cfg.seed, 0xEA17 + (i * attempts + a) as u64);
+                let mut env = [DroneSim::new(s.cfg.sim, seed)];
+                let mut rng = [StdRng::seed_from_u64(seed ^ 0x1)];
+                let ctx = &mut BatchInferCtx::new();
+                run_greedy_episodes_batch(&mut s.drones[i], &mut env, &mut rng, ctx).unwrap();
+                total += env[0].distance() as f64;
+            }
         }
+        assert_eq!(lock_step.to_bits(), (total / (2 * attempts) as f64).to_bits());
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub fn heatmap_cells(scale: Scale, side: Option<FaultSide>) -> Vec<GridTrial> {
 fn heatmap(scale: Scale, side: Option<FaultSide>, title: &str) -> Table {
     let g = grid_geometry(scale);
     let cells = heatmap_cells(scale, side);
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED, harness::run_grid_trial);
+    let stats = sweep(&cells, g.repeats, DEFAULT_SEED, |t, s| {
+        harness::run_grid_trial(t, s).expect("figure cells are valid trials")
+    });
     heatmap_table(title, &g.bers, &g.inject_episodes, &stats, 1)
 }
 
@@ -136,7 +138,9 @@ pub fn convergence(scale: Scale) -> Table {
             })
         })
         .collect();
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x3E, harness::run_grid_trial);
+    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x3E, |t, s| {
+        harness::run_grid_trial(t, s).expect("figure cells are valid trials")
+    });
 
     let mut table = Table::new(
         "Fig 3e: episodes to converge after late fault",

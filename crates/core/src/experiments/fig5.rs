@@ -36,7 +36,9 @@ pub fn heatmap_cells(scale: Scale, side: Option<FaultSide>) -> Vec<DroneTrial> {
 fn heatmap(scale: Scale, side: Option<FaultSide>, title: &str) -> Table {
     let g = drone_geometry(scale);
     let cells = heatmap_cells(scale, side);
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0xF15, harness::run_drone_trial);
+    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0xF15, |t, s| {
+        harness::run_drone_trial(t, s).expect("figure cells are valid trials")
+    });
     heatmap_table(title, &g.bers, &g.inject_episodes, &stats, 0)
 }
 

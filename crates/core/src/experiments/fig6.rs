@@ -35,7 +35,9 @@ pub fn drone_count(scale: Scale) -> Table {
             }
         }
     }
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x6A, harness::run_drone_trial);
+    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x6A, |t, s| {
+        harness::run_drone_trial(t, s).expect("figure cells are valid trials")
+    });
 
     let mut table = Table::new(
         "Fig 6a: flight distance vs BER by (drones, fault side) (m)",
@@ -95,7 +97,9 @@ pub fn comm_interval(scale: Scale) -> Table {
             ]
         })
         .collect();
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x6B, harness::run_drone_trial);
+    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x6B, |t, s| {
+        harness::run_drone_trial(t, s).expect("figure cells are valid trials")
+    });
 
     let mut table = Table::new(
         "Fig 6b: communication-interval trade-off",

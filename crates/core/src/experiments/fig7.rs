@@ -56,7 +56,9 @@ pub fn gridworld_cells(scale: Scale) -> Vec<GridTrial> {
 pub fn gridworld(scale: Scale) -> Table {
     let (bers, inject_eps, _, _, repeats) = fig7a_geometry(scale);
     let cells = gridworld_cells(scale);
-    let stats = sweep(&cells, repeats, DEFAULT_SEED ^ 0x7A, harness::run_grid_trial);
+    let stats = sweep(&cells, repeats, DEFAULT_SEED ^ 0x7A, |t, s| {
+        harness::run_grid_trial(t, s).expect("figure cells are valid trials")
+    });
     heatmap_table(
         "Fig 7a: GridWorld server faults WITH checkpoint mitigation (SR %)",
         &bers,
@@ -80,7 +82,9 @@ pub fn drone(scale: Scale) -> Table {
                 .with_mitigation(mitigation)
         })
         .collect();
-    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x7B, harness::run_drone_trial);
+    let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x7B, |t, s| {
+        harness::run_drone_trial(t, s).expect("figure cells are valid trials")
+    });
     heatmap_table(
         "Fig 7b: DroneNav server faults WITH checkpoint mitigation (m)",
         &g.bers,

@@ -21,7 +21,6 @@ use crate::{
 };
 use frlfi_fault::{Ber, CellStats, FaultModel, FaultSide};
 use frlfi_federated::CommSchedule;
-use frlfi_nn::{BatchInferCtx, InferCtx};
 use frlfi_tensor::derive_seed;
 
 /// Campaign geometry of the GridWorld training heatmaps (Fig. 3/7a).
@@ -282,97 +281,43 @@ impl GridTrial {
 }
 
 /// Evaluates one GridWorld trial: a pure function of `(trial, seed)`,
-/// safe to fan out over threads.
-///
-/// # Panics
-///
-/// Panics on invalid trial configuration (campaign cells are validated
-/// when specs are built).
-pub fn run_grid_trial(t: &GridTrial, seed: u64) -> f64 {
-    run_grid_trial_ctx(t, seed, &mut InferCtx::new())
-        .expect("figure-driver grid trials are validated at construction")
-}
-
-/// [`run_grid_trial`] with an external inference scratch context: the
-/// post-training eval loop drops layer caches ([`GridFrlSystem::eval_mode`])
-/// and runs greedy episodes on the zero-allocation fast path. Campaign
-/// workers reuse one context across all their trials.
+/// safe to fan out over threads. The system is built, fault-injected
+/// and trained, then drops its layer caches
+/// ([`GridFrlSystem::eval_mode`]) for the greedy evaluation.
 ///
 /// # Errors
 ///
 /// Returns an error on an invalid trial configuration or a training
 /// failure (e.g. a mis-shaped observation), so a campaign can
 /// quarantine the trial instead of panicking in a worker.
-pub fn run_grid_trial_ctx(t: &GridTrial, seed: u64, ctx: &mut InferCtx) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, None)?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(match t.metric {
-        GridMetric::SuccessRatePct => sys.success_rate_ctx(ctx) * 100.0,
-        GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
-            let extra = sys.episodes_to_converge_ctx(threshold, check_every, max_extra, ctx)?;
-            converge_metric(t, extra, max_extra)
-        }
-    })
-}
-
-/// [`run_grid_trial`] with **both phases** on the batched fast paths:
-/// training runs through the cached-activation arena kernels
-/// ([`GridFrlSystem::train_batched`]) and the post-training evaluation
-/// through lock-step batched forwards
-/// ([`GridFrlSystem::success_rate_batched`]). Both are bit-identical to
-/// their sequential counterparts, so trial values match
-/// [`run_grid_trial_ctx`] bit for bit.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`].
-pub fn run_grid_trial_batched(
-    t: &GridTrial,
-    seed: u64,
-    ctx: &mut BatchInferCtx,
-) -> Result<f64, FrlfiError> {
-    let mut sys = grid_trial_system(t, seed, Some(ctx))?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(match t.metric {
-        GridMetric::SuccessRatePct => sys.success_rate_batched(ctx) * 100.0,
-        GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
-            let extra = sys.episodes_to_converge_batched(threshold, check_every, max_extra, ctx)?;
-            converge_metric(t, extra, max_extra)
-        }
-    })
-}
-
-/// Builds, fault-injects and trains the system of one GridWorld trial,
-/// ready for greedy evaluation — shared by the per-observation and
-/// batched paths so the trial setup can never drift between modes.
-/// `batch_ctx` selects the training path (bit-identical either way).
-fn grid_trial_system(
-    t: &GridTrial,
-    seed: u64,
-    batch_ctx: Option<&mut BatchInferCtx>,
-) -> Result<GridFrlSystem, FrlfiError> {
-    // Observability only — the span reads the clock around training,
-    // it cannot affect any trained value.
-    let _train = frlfi_obs::span("train");
-    let cfg = GridSystemConfig {
-        n_agents: t.n_agents,
-        seed: t.system_seed,
-        epsilon_decay_episodes: t.total_episodes / 2,
-        layout: t.layout,
-        dropout: t.dropout,
-        ..Default::default()
+pub fn run_grid_trial(t: &GridTrial, seed: u64) -> Result<f64, FrlfiError> {
+    let mut sys = {
+        // Observability only — the span reads the clock around
+        // training, it cannot affect any trained value.
+        let _train = frlfi_obs::span("train");
+        let cfg = GridSystemConfig {
+            n_agents: t.n_agents,
+            seed: t.system_seed,
+            epsilon_decay_episodes: t.total_episodes / 2,
+            layout: t.layout,
+            dropout: t.dropout,
+            ..Default::default()
+        };
+        let mut sys = GridFrlSystem::new(cfg)?;
+        sys.reseed_faults(seed);
+        let plan = t.fault.as_ref().and_then(TrialFault::plan);
+        sys.train(t.total_episodes, plan.as_ref(), t.mitigation.as_ref())?;
+        sys.eval_mode();
+        sys
     };
-    let mut sys = GridFrlSystem::new(cfg)?;
-    sys.reseed_faults(seed);
-    let plan = t.fault.as_ref().and_then(TrialFault::plan);
-    match batch_ctx {
-        Some(ctx) => {
-            sys.train_batched(t.total_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
+    let _eval = frlfi_obs::span("eval");
+    Ok(match t.metric {
+        GridMetric::SuccessRatePct => sys.success_rate() * 100.0,
+        GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
+            let extra = sys.episodes_to_converge(threshold, check_every, max_extra)?;
+            converge_metric(t, extra, max_extra)
         }
-        None => sys.train(t.total_episodes, plan.as_ref(), t.mitigation.as_ref())?,
-    }
-    sys.eval_mode();
-    Ok(sys)
+    })
 }
 
 /// Folds an episodes-to-converge result into the reported metric.
@@ -381,24 +326,6 @@ fn converge_metric(t: &GridTrial, extra: Option<usize>, max_extra: usize) -> f64
         Some(extra) => (t.total_episodes + extra) as f64,
         None => (t.total_episodes + max_extra) as f64,
     }
-}
-
-/// Evaluates one cell's shard of repeats on the batched path: repeat
-/// `r` of the shard runs [`run_grid_trial_batched`] with `seeds[r]`,
-/// all sharing `ctx`'s arena. This is the campaign runner's
-/// batched-mode work unit; values are returned in seed order and are
-/// bit-identical to evaluating each `(trial, seed)` alone.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`]; repeats before the failing one are
-/// discarded with the trial.
-pub fn run_grid_trials_batched(
-    t: &GridTrial,
-    seeds: &[u64],
-    ctx: &mut BatchInferCtx,
-) -> Result<Vec<f64>, FrlfiError> {
-    seeds.iter().map(|&s| run_grid_trial_batched(t, s, ctx)).collect()
 }
 
 /// Communication schedule of a drone trial, as pure data.
@@ -528,106 +455,40 @@ impl DroneTrial {
 }
 
 /// Evaluates one DroneNav trial: safe flight distance (m) after
-/// fine-tuning. Pure in `(trial, seed)`.
-///
-/// # Panics
-///
-/// Panics on invalid trial configuration.
-pub fn run_drone_trial(t: &DroneTrial, seed: u64) -> f64 {
-    run_drone_trial_ctx(t, seed, &mut InferCtx::new())
-        .expect("figure-driver drone trials are validated at construction")
-}
-
-/// [`run_drone_trial`] with an external inference scratch context (see
-/// [`run_grid_trial_ctx`]).
+/// fine-tuning from the shared pre-trained weights. Pure in
+/// `(trial, seed)`.
 ///
 /// # Errors
 ///
-/// As for [`run_grid_trial_ctx`].
-pub fn run_drone_trial_ctx(
-    t: &DroneTrial,
-    seed: u64,
-    ctx: &mut InferCtx,
-) -> Result<f64, FrlfiError> {
-    let mut sys = drone_trial_system(t, seed, None)?;
+/// As for [`run_grid_trial`].
+pub fn run_drone_trial(t: &DroneTrial, seed: u64) -> Result<f64, FrlfiError> {
+    let mut sys = {
+        // Observability only — the span reads the clock around
+        // fine-tuning, it cannot affect any trained value.
+        let _train = frlfi_obs::span("train");
+        let mut sys = DroneFrlSystem::new(DroneSystemConfig {
+            n_drones: t.n_drones,
+            seed: t.system_seed,
+            pretrain_episodes: 0,
+            comm: t.comm.schedule(),
+            layout: t.layout,
+            // An explicit motion seeds `sim.dynamic` directly; `None`
+            // keeps the system's normalization (default motion for
+            // dynamic layouts), bit-identical to the pre-motion-knob
+            // build.
+            sim: frlfi_envs::DroneConfig { dynamic: t.motion, ..Default::default() },
+            dropout: t.dropout,
+            ..Default::default()
+        })?;
+        sys.set_fleet_weights(t.weights.get())?;
+        sys.reseed_faults(seed);
+        let plan = t.fault.as_ref().and_then(TrialFault::plan);
+        sys.fine_tune(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref())?;
+        sys.eval_mode();
+        sys
+    };
     let _eval = frlfi_obs::span("eval");
-    Ok(sys.safe_flight_distance_ctx(t.eval_attempts, ctx))
-}
-
-/// [`run_drone_trial`] with **both phases** on the batched fast paths:
-/// fine-tuning runs each episode's REINFORCE update as one batched
-/// forward/backward ([`DroneFrlSystem::fine_tune_batched`]) and the
-/// flight-distance evaluation runs corridors in lock-step
-/// ([`DroneFrlSystem::safe_flight_distance_batched`]). Both are
-/// bit-identical to their sequential counterparts, so trial values
-/// match [`run_drone_trial_ctx`] bit for bit.
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`].
-pub fn run_drone_trial_batched(
-    t: &DroneTrial,
-    seed: u64,
-    ctx: &mut BatchInferCtx,
-) -> Result<f64, FrlfiError> {
-    let mut sys = drone_trial_system(t, seed, Some(ctx))?;
-    let _eval = frlfi_obs::span("eval");
-    Ok(sys.safe_flight_distance_batched(t.eval_attempts, ctx))
-}
-
-/// Builds, fault-injects and fine-tunes the system of one DroneNav
-/// trial, ready for flight-distance evaluation — shared by the
-/// per-observation and batched paths so the trial setup can never
-/// drift between modes. `batch_ctx` selects the fine-tuning path
-/// (bit-identical either way); the shared offline pre-training behind
-/// [`PretrainedWeights`] always runs sequentially.
-fn drone_trial_system(
-    t: &DroneTrial,
-    seed: u64,
-    batch_ctx: Option<&mut BatchInferCtx>,
-) -> Result<DroneFrlSystem, FrlfiError> {
-    // Observability only — the span reads the clock around
-    // fine-tuning, it cannot affect any trained value.
-    let _train = frlfi_obs::span("train");
-    let mut sys = DroneFrlSystem::new(DroneSystemConfig {
-        n_drones: t.n_drones,
-        seed: t.system_seed,
-        pretrain_episodes: 0,
-        comm: t.comm.schedule(),
-        layout: t.layout,
-        // An explicit motion seeds `sim.dynamic` directly; `None`
-        // keeps the system's normalization (default motion for
-        // dynamic layouts), bit-identical to the pre-motion-knob
-        // build.
-        sim: frlfi_envs::DroneConfig { dynamic: t.motion, ..Default::default() },
-        dropout: t.dropout,
-        ..Default::default()
-    })?;
-    sys.set_fleet_weights(t.weights.get())?;
-    sys.reseed_faults(seed);
-    let plan = t.fault.as_ref().and_then(TrialFault::plan);
-    match batch_ctx {
-        Some(ctx) => {
-            sys.fine_tune_batched(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref(), ctx)?;
-        }
-        None => sys.fine_tune(t.fine_tune_episodes, plan.as_ref(), t.mitigation.as_ref())?,
-    }
-    sys.eval_mode();
-    Ok(sys)
-}
-
-/// Evaluates one cell's shard of repeats on the batched path (see
-/// [`run_grid_trials_batched`]).
-///
-/// # Errors
-///
-/// As for [`run_grid_trial_ctx`].
-pub fn run_drone_trials_batched(
-    t: &DroneTrial,
-    seeds: &[u64],
-    ctx: &mut BatchInferCtx,
-) -> Result<Vec<f64>, FrlfiError> {
-    seeds.iter().map(|&s| run_drone_trial_batched(t, s, ctx)).collect()
+    Ok(sys.safe_flight_distance(t.eval_attempts))
 }
 
 /// The `(BER × inject episode)` cell grid shared by the training
@@ -701,7 +562,10 @@ mod tests {
             20,
             0.05,
         ));
-        assert_eq!(run_grid_trial(&t, 7).to_bits(), run_grid_trial(&t, 7).to_bits());
+        assert_eq!(
+            run_grid_trial(&t, 7).unwrap().to_bits(),
+            run_grid_trial(&t, 7).unwrap().to_bits()
+        );
     }
 
     #[test]
@@ -725,7 +589,8 @@ mod tests {
                         .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 40, ber))
                 })
                 .collect();
-        let stats = sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, run_grid_trial);
+        let stats =
+            sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, |t, s| run_grid_trial(t, s).unwrap());
         for (ci, cell) in cells.iter().enumerate() {
             let by_hand: Vec<f64> = (0..2)
                 .map(|r| {
@@ -733,36 +598,11 @@ mod tests {
                         cell,
                         frlfi_tensor::derive_seed(DEFAULT_SEED, (ci * 2 + r) as u64),
                     )
+                    .unwrap()
                 })
                 .collect();
             let agg = frlfi_fault::aggregate_in_order(&by_hand);
             assert_eq!(agg.mean.to_bits(), stats[ci].mean.to_bits());
-        }
-    }
-
-    #[test]
-    fn batched_trials_match_sequential_bitwise() {
-        let t = GridTrial::new(2, 40).with_fault(TrialFault::transient_int8(
-            FaultSide::AgentSide,
-            20,
-            0.1,
-        ));
-        let seeds = [7u64, 8, 9];
-        let mut bctx = BatchInferCtx::new();
-        let batched = run_grid_trials_batched(&t, &seeds, &mut bctx).unwrap();
-        for (r, &seed) in seeds.iter().enumerate() {
-            assert_eq!(batched[r].to_bits(), run_grid_trial(&t, seed).to_bits(), "repeat {r}");
-        }
-        let g = drone_geometry(Scale::Smoke);
-        let weights = PretrainedWeights::lazy(g.pretrain_episodes);
-        let dt = DroneTrial::new(&g, weights, 2).with_fault(TrialFault::transient_int8(
-            FaultSide::AgentSide,
-            4,
-            1e-2,
-        ));
-        let batched = run_drone_trials_batched(&dt, &seeds[..2], &mut bctx).unwrap();
-        for (r, &seed) in seeds[..2].iter().enumerate() {
-            assert_eq!(batched[r].to_bits(), run_drone_trial(&dt, seed).to_bits(), "drone {r}");
         }
     }
 
@@ -783,8 +623,8 @@ mod tests {
             .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 4, 1e-2));
         assert_eq!(explicit.layout, DroneLayout::DynamicObstacles);
         assert_eq!(
-            run_drone_trial(&normalized, 11).to_bits(),
-            run_drone_trial(&explicit, 11).to_bits()
+            run_drone_trial(&normalized, 11).unwrap().to_bits(),
+            run_drone_trial(&explicit, 11).unwrap().to_bits()
         );
     }
 

@@ -8,8 +8,7 @@ use frlfi_federated::{RoundHook, Server};
 use frlfi_mitigation::{Detection, RewardDropDetector, ServerCheckpoint};
 use frlfi_nn::{BatchInferCtx, InferCtx};
 use frlfi_rl::{
-    greedy_argmax, run_episode, run_episode_batched, run_greedy_episode_ctx,
-    run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner,
+    greedy_argmax, run_episode, run_greedy_episodes_batch, EpsilonSchedule, Learner, QLearner,
 };
 use frlfi_tensor::{derive_seed, Tensor};
 use rand::rngs::StdRng;
@@ -46,6 +45,9 @@ pub struct GridFrlSystem {
     pending_server_fault: Option<InjectionPlan>,
     last_records: Vec<FaultRecord>,
     mitigation_stats: MitigationStats,
+    /// Scratch arena every training and greedy-evaluation forward and
+    /// backward runs through (pure scratch: never part of the result).
+    ctx: BatchInferCtx,
 }
 
 impl GridFrlSystem {
@@ -112,6 +114,7 @@ impl GridFrlSystem {
             pending_server_fault: None,
             last_records: Vec::new(),
             mitigation_stats: MitigationStats::default(),
+            ctx: BatchInferCtx::new(),
         })
     }
 
@@ -180,46 +183,18 @@ impl GridFrlSystem {
 
     /// Trains for `episodes` episodes, optionally applying a dynamic
     /// [`InjectionPlan`] (episode index relative to this call) and the
-    /// training-time mitigation scheme.
+    /// training-time mitigation scheme. Every agent's TD updates run
+    /// through the system's cached-activation arena kernels
+    /// ([`frlfi_rl::run_episode`]).
     ///
     /// # Errors
     ///
-    /// Propagates aggregation or restore failures.
+    /// Propagates training, aggregation or restore failures.
     pub fn train(
         &mut self,
         episodes: usize,
         plan: Option<&InjectionPlan>,
         mitigation: Option<&TrainingMitigation>,
-    ) -> Result<(), FrlfiError> {
-        self.train_impl(episodes, plan, mitigation, None)
-    }
-
-    /// [`GridFrlSystem::train`] on the **batched-training** fast path:
-    /// every agent's TD updates run through `ctx`'s cached-activation
-    /// arena kernels ([`frlfi_rl::run_episode_batched`]) instead of the
-    /// tensor-allocating reference path. Actions, RNG streams, episode
-    /// boundaries and the trained weights are **bit-identical** to
-    /// [`GridFrlSystem::train`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates training, aggregation or restore failures.
-    pub fn train_batched(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        ctx: &mut BatchInferCtx,
-    ) -> Result<(), FrlfiError> {
-        self.train_impl(episodes, plan, mitigation, Some(ctx))
-    }
-
-    fn train_impl(
-        &mut self,
-        episodes: usize,
-        plan: Option<&InjectionPlan>,
-        mitigation: Option<&TrainingMitigation>,
-        mut batch_ctx: Option<&mut BatchInferCtx>,
     ) -> Result<(), FrlfiError> {
         let mut detector = mitigation
             .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_agents));
@@ -234,12 +209,12 @@ impl GridFrlSystem {
             let mut rewards = Vec::with_capacity(self.cfg.n_agents);
             for i in 0..self.cfg.n_agents {
                 self.agents[i].set_episode(global_ep);
-                let (env, agent, rng) =
-                    (&mut self.envs[i], &mut self.agents[i], &mut self.agent_rngs[i]);
-                let summary = match batch_ctx.as_deref_mut() {
-                    Some(ctx) => run_episode_batched(env, agent, rng, ctx)?,
-                    None => run_episode(env, agent, rng)?,
-                };
+                let summary = run_episode(
+                    &mut self.envs[i],
+                    &mut self.agents[i],
+                    &mut self.agent_rngs[i],
+                    &mut self.ctx,
+                )?;
                 rewards.push(summary.total_reward);
             }
 
@@ -383,53 +358,21 @@ impl GridFrlSystem {
     /// the paper's `SR = (1/n) Σ SRᵢ`. GridWorld is deterministic, so a
     /// single greedy attempt per agent fully determines `SRᵢ`.
     pub fn success_rate(&mut self) -> f64 {
-        self.success_rate_ctx(&mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::success_rate`] reusing an external inference
-    /// scratch context (campaign workers keep one per thread).
-    pub fn success_rate_ctx(&mut self, ctx: &mut InferCtx) -> f64 {
-        let outcomes = self.eval_outcomes_ctx(ctx);
+        let outcomes = self.eval_outcomes();
         crate::metrics::success_rate_of(&outcomes)
     }
 
-    /// One greedy episode per agent, returning the outcomes.
+    /// One greedy episode per agent, returning the outcomes. Agents
+    /// whose policies hold bit-identical parameters (the common case
+    /// after annealed consensus drives every aggregation output to the
+    /// same vector) share **one batched forward per lock-step
+    /// evaluation step** across their environments, with finished
+    /// episodes retired from the batch; agents with distinct parameters
+    /// run as singleton batches on the same code path. Each agent keeps
+    /// its own environment and seed-derived RNG stream, and batched
+    /// greedy actions are bit-identical per sample, so every outcome is
+    /// the one the agent would reach evaluated alone.
     pub fn eval_outcomes(&mut self) -> Vec<Outcome> {
-        self.eval_outcomes_ctx(&mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::eval_outcomes`] on the inference fast path,
-    /// reusing `ctx` across all agents' greedy episodes.
-    pub fn eval_outcomes_ctx(&mut self, ctx: &mut InferCtx) -> Vec<Outcome> {
-        let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
-        for i in 0..self.cfg.n_agents {
-            let mut eval_rng = StdRng::seed_from_u64(derive_seed(self.cfg.seed, 0xE7A1 + i as u64));
-            let summary =
-                run_greedy_episode_ctx(&mut self.envs[i], &mut self.agents[i], &mut eval_rng, ctx)
-                    .expect("grid policy and observation shapes are fixed at construction");
-            outcomes.push(summary.outcome);
-        }
-        outcomes
-    }
-
-    /// [`GridFrlSystem::success_rate`] on the **batched** inference
-    /// fast path (see [`GridFrlSystem::eval_outcomes_batched`]).
-    pub fn success_rate_batched(&mut self, ctx: &mut BatchInferCtx) -> f64 {
-        let outcomes = self.eval_outcomes_batched(ctx);
-        crate::metrics::success_rate_of(&outcomes)
-    }
-
-    /// [`GridFrlSystem::eval_outcomes`] on the batched inference fast
-    /// path: agents whose policies hold bit-identical parameters (the
-    /// common case after annealed consensus drives every aggregation
-    /// output to the same vector) share **one batched forward per
-    /// lock-step evaluation step** across their environments, with
-    /// finished episodes retired from the batch; agents with distinct
-    /// parameters fall back to singleton batches on the same code
-    /// path. Per-agent environments, RNG streams and greedy actions are
-    /// exactly those of [`GridFrlSystem::eval_outcomes_ctx`], so the
-    /// outcomes are identical.
-    pub fn eval_outcomes_batched(&mut self, ctx: &mut BatchInferCtx) -> Vec<Outcome> {
         let n = self.cfg.n_agents;
         let seed = self.cfg.seed;
         // Group agents by identical parameter vectors (ascending index
@@ -455,9 +398,13 @@ impl GridFrlSystem {
                 .enumerate()
                 .filter_map(|(i, e)| group.contains(&i).then_some(e))
                 .collect();
-            let summaries =
-                run_greedy_episodes_batch(&mut agents[group[0]], &mut group_envs, &mut rngs, ctx)
-                    .expect("grid policy and observation shapes are fixed at construction");
+            let summaries = run_greedy_episodes_batch(
+                &mut agents[group[0]],
+                &mut group_envs,
+                &mut rngs,
+                &mut self.ctx,
+            )
+            .expect("grid policy and observation shapes are fixed at construction");
             for (k, &i) in group.iter().enumerate() {
                 outcomes[i] = summaries[k].outcome;
             }
@@ -479,65 +426,15 @@ impl GridFrlSystem {
         check_every: usize,
         max_extra: usize,
     ) -> Result<Option<usize>, FrlfiError> {
-        self.episodes_to_converge_ctx(threshold, check_every, max_extra, &mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::episodes_to_converge`] reusing an external
-    /// inference scratch context for every convergence check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures.
-    pub fn episodes_to_converge_ctx(
-        &mut self,
-        threshold: f64,
-        check_every: usize,
-        max_extra: usize,
-        ctx: &mut InferCtx,
-    ) -> Result<Option<usize>, FrlfiError> {
-        self.episodes_to_converge_with(threshold, check_every, max_extra, |sys| {
-            sys.success_rate_ctx(ctx)
-        })
-    }
-
-    /// [`GridFrlSystem::episodes_to_converge`] with every convergence
-    /// check on the batched inference fast path; decisions and the
-    /// returned episode count are identical to the `_ctx` variant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures.
-    pub fn episodes_to_converge_batched(
-        &mut self,
-        threshold: f64,
-        check_every: usize,
-        max_extra: usize,
-        ctx: &mut BatchInferCtx,
-    ) -> Result<Option<usize>, FrlfiError> {
-        self.episodes_to_converge_with(threshold, check_every, max_extra, |sys| {
-            sys.success_rate_batched(ctx)
-        })
-    }
-
-    /// The train-until-converged loop, parameterized over the
-    /// success-rate evaluation path so the per-observation and batched
-    /// variants share one decision sequence.
-    fn episodes_to_converge_with(
-        &mut self,
-        threshold: f64,
-        check_every: usize,
-        max_extra: usize,
-        mut success_rate: impl FnMut(&mut Self) -> f64,
-    ) -> Result<Option<usize>, FrlfiError> {
         let mut used = 0;
         while used < max_extra {
-            if success_rate(self) >= threshold {
+            if self.success_rate() >= threshold {
                 return Ok(Some(used));
             }
             self.train(check_every, None, None)?;
             used += check_every;
         }
-        Ok(if success_rate(self) >= threshold { Some(used) } else { None })
+        Ok(if self.success_rate() >= threshold { Some(used) } else { None })
     }
 
     /// Runs `f` with every agent's policy deployed in `repr` (weights
@@ -640,22 +537,7 @@ impl GridFrlSystem {
     /// on every inference step, emulating upsets in an accelerator's
     /// activation buffers.
     pub fn success_rate_activation_faults(&mut self, ber: Ber, repr: ReprKind, seed: u64) -> f64 {
-        self.success_rate_activation_faults_ctx(ber, repr, seed, &mut InferCtx::new())
-    }
-
-    /// [`GridFrlSystem::success_rate_activation_faults`] on the
-    /// zero-allocation inference fast path: the per-layer corruption
-    /// hook runs over the scratch-buffer activations, and the fault
-    /// RNG consumes the exact same stream as the slow path (one hook
-    /// call per layer, in layer order), so statistics are
-    /// bit-identical.
-    pub fn success_rate_activation_faults_ctx(
-        &mut self,
-        ber: Ber,
-        repr: ReprKind,
-        seed: u64,
-        ctx: &mut InferCtx,
-    ) -> f64 {
+        let mut ctx = InferCtx::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut outcomes = Vec::with_capacity(self.cfg.n_agents);
         for i in 0..self.cfg.n_agents {
@@ -666,7 +548,7 @@ impl GridFrlSystem {
                 let action = {
                     let net = self.agents[i].network();
                     let out = net
-                        .infer_with_activation_faults(&state, ctx, &mut |buf| {
+                        .infer_with_activation_faults(&state, &mut ctx, &mut |buf| {
                             let repr = repr.materialize_for(buf);
                             inject_slice_ber(buf, repr, FaultModel::TransientMulti, ber, &mut rng);
                         })
@@ -966,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_eval_matches_sequential_outcomes() {
+    fn grouped_eval_matches_agents_evaluated_alone() {
         let mut s = GridFrlSystem::new(small_cfg(3)).unwrap();
         s.train(120, None, None).unwrap();
         // Perturb one agent so the eval spans a mixed group structure
@@ -976,28 +858,17 @@ mod tests {
         s.agent_mut(1).network_mut().restore(&copy).unwrap();
         snap[0] += 0.25;
         s.agent_mut(2).network_mut().restore(&snap).unwrap();
-        let sequential = s.eval_outcomes_ctx(&mut InferCtx::new());
-        let batched = s.eval_outcomes_batched(&mut BatchInferCtx::new());
-        assert_eq!(batched, sequential);
-        assert_eq!(
-            s.success_rate_batched(&mut BatchInferCtx::new()).to_bits(),
-            s.success_rate_ctx(&mut InferCtx::new()).to_bits()
-        );
-    }
-
-    #[test]
-    fn batched_training_matches_sequential_weights() {
-        let mut seq = GridFrlSystem::new(small_cfg(3)).unwrap();
-        let mut bat = GridFrlSystem::new(small_cfg(3)).unwrap();
-        seq.train(60, None, None).unwrap();
-        bat.train_batched(60, None, None, &mut BatchInferCtx::new()).unwrap();
-        for i in 0..3 {
-            assert_eq!(
-                seq.agent(i).network().snapshot(),
-                bat.agent(i).network().snapshot(),
-                "agent {i} weights must be bit-identical across training paths"
-            );
-        }
+        let grouped = s.eval_outcomes();
+        let alone: Vec<Outcome> = (0..3)
+            .map(|i| {
+                let mut env = vec![s.envs[i].clone()];
+                let mut rng = vec![StdRng::seed_from_u64(derive_seed(77, 0xE7A1 + i as u64))];
+                let ctx = &mut BatchInferCtx::new();
+                run_greedy_episodes_batch(&mut s.agents[i], &mut env, &mut rng, ctx).unwrap()[0]
+                    .outcome
+            })
+            .collect();
+        assert_eq!(grouped, alone);
     }
 
     #[test]

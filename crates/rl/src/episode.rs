@@ -1,6 +1,7 @@
 use crate::{Learner, RlError, Transition};
 use frlfi_envs::{Environment, Outcome};
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx};
+use frlfi_nn::{ActShape, BatchInferCtx, NnError};
+use frlfi_tensor::Tensor;
 use rand::RngCore;
 
 /// The result of running one episode.
@@ -22,7 +23,9 @@ impl EpisodeSummary {
 }
 
 /// Runs one *training* episode: the learner explores, observes every
-/// transition and receives `end_episode` at the end.
+/// transition and receives the episode-end update, with every forward
+/// and backward on `ctx`'s scratch arenas ([`Learner::act_train_ctx`],
+/// [`Learner::observe_ctx`], [`Learner::end_episode_ctx`]).
 ///
 /// # Errors
 ///
@@ -30,41 +33,6 @@ impl EpisodeSummary {
 /// fit the policy network) so a malformed scenario quarantines instead
 /// of panicking inside a worker.
 pub fn run_episode(
-    env: &mut dyn Environment,
-    learner: &mut dyn Learner,
-    rng: &mut dyn RngCore,
-) -> Result<EpisodeSummary, RlError> {
-    let mut state = env.reset(rng);
-    let mut total_reward = 0.0;
-    let mut steps = 0;
-    let outcome = loop {
-        let action = learner.act(&state, rng)?;
-        let step = env.step(action, rng);
-        total_reward += step.reward;
-        steps += 1;
-        let next_state = if step.outcome.is_terminal() { None } else { Some(step.state.clone()) };
-        learner.observe(Transition { state, action, reward: step.reward, next_state })?;
-        state = step.state;
-        if step.outcome.is_terminal() {
-            break step.outcome;
-        }
-    };
-    learner.end_episode()?;
-    Ok(EpisodeSummary { total_reward, steps, outcome })
-}
-
-/// [`run_episode`] on the batched-training fast path: action selection,
-/// online updates and the episode-end update all route through `ctx`'s
-/// scratch arenas ([`Learner::act_train_ctx`], [`Learner::observe_ctx`],
-/// [`Learner::end_episode_ctx`]). The learner contract makes every hook
-/// bit-identical to its sequential counterpart — same actions, same RNG
-/// consumption, bit-identical trained weights — so this runner produces
-/// exactly [`run_episode`]'s summary and weights, faster.
-///
-/// # Errors
-///
-/// As for [`run_episode`].
-pub fn run_episode_batched(
     env: &mut dyn Environment,
     learner: &mut dyn Learner,
     rng: &mut dyn RngCore,
@@ -89,51 +57,6 @@ pub fn run_episode_batched(
     Ok(EpisodeSummary { total_reward, steps, outcome })
 }
 
-/// Runs one *inference* episode: pure greedy exploitation, no learning
-/// (§III-B's second phase). Allocates one scratch [`InferCtx`] for the
-/// whole episode; callers evaluating many episodes should pass their
-/// own through [`run_greedy_episode_ctx`] instead.
-///
-/// # Errors
-///
-/// Propagates learner errors.
-pub fn run_greedy_episode(
-    env: &mut dyn Environment,
-    learner: &mut dyn Learner,
-    rng: &mut dyn RngCore,
-) -> Result<EpisodeSummary, RlError> {
-    run_greedy_episode_ctx(env, learner, rng, &mut InferCtx::new())
-}
-
-/// [`run_greedy_episode`] on the zero-allocation inference fast path:
-/// every greedy action of the episode reuses `ctx`'s scratch buffers,
-/// so a warm context makes the policy evaluation allocation-free.
-///
-/// # Errors
-///
-/// Propagates learner errors.
-pub fn run_greedy_episode_ctx(
-    env: &mut dyn Environment,
-    learner: &mut dyn Learner,
-    rng: &mut dyn RngCore,
-    ctx: &mut InferCtx,
-) -> Result<EpisodeSummary, RlError> {
-    let mut state = env.reset(rng);
-    let mut total_reward = 0.0;
-    let mut steps = 0;
-    let outcome = loop {
-        let action = learner.act_greedy_ctx(&state, ctx)?;
-        let step = env.step(action, rng);
-        total_reward += step.reward;
-        steps += 1;
-        state = step.state;
-        if step.outcome.is_terminal() {
-            break step.outcome;
-        }
-    };
-    Ok(EpisodeSummary { total_reward, steps, outcome })
-}
-
 /// Lock-step batched greedy evaluation: runs every environment in
 /// `envs` through one shared policy simultaneously, selecting all
 /// active environments' actions with **one batched forward per step**
@@ -141,9 +64,9 @@ pub fn run_greedy_episode_ctx(
 /// the batch as they terminate.
 ///
 /// Environment `i` uses `rngs[i]` for its entire episode, so each
-/// episode consumes exactly the streams it would consume under
-/// [`run_greedy_episode_ctx`] — and since every batched action is
-/// bit-identical to single-observation greedy selection, the returned
+/// episode consumes exactly the streams it would consume alone — and
+/// since every batched action is bit-identical to single-observation
+/// greedy selection ([`Learner::act_greedy_ctx`]), the returned
 /// summaries (in environment order) match running the episodes one at
 /// a time exactly.
 ///
@@ -153,8 +76,9 @@ pub fn run_greedy_episode_ctx(
 /// # Errors
 ///
 /// Propagates learner errors and rejects unsupported observation
-/// shapes; returns [`RlError::EpisodeNotTerminated`] if an environment
-/// violates its termination contract.
+/// shapes or observations whose size differs from the declared shape;
+/// returns [`RlError::EpisodeNotTerminated`] if an environment violates
+/// its termination contract.
 ///
 /// # Panics
 ///
@@ -182,8 +106,7 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
     let mut states: Vec<f32> = vec![0.0; n * vol];
     for (s, (env, rng)) in envs.iter_mut().zip(rngs.iter_mut()).enumerate() {
         assert_eq!(env.obs_shape(), dims, "batched environments must share an obs shape");
-        let obs = env.reset(rng);
-        states[s * vol..(s + 1) * vol].copy_from_slice(obs.data());
+        load_row(&mut states, vol, s, &env.reset(rng))?;
     }
 
     let mut totals = vec![0.0f32; n];
@@ -209,13 +132,26 @@ pub fn run_greedy_episodes_batch<E: Environment, R: RngCore>(
                 });
             } else {
                 active[live] = i;
-                states[live * vol..(live + 1) * vol].copy_from_slice(step.state.data());
+                load_row(&mut states, vol, live, &step.state)?;
                 live += 1;
             }
         }
         active.truncate(live);
     }
     summaries.into_iter().map(|s| s.ok_or(RlError::EpisodeNotTerminated)).collect()
+}
+
+/// Copies observation `obs` into row `slot` of the sample-major batch
+/// `states`, rejecting an observation whose volume does not match the
+/// row width (a malformed environment) with a typed error.
+fn load_row(states: &mut [f32], vol: usize, slot: usize, obs: &Tensor) -> Result<(), RlError> {
+    if obs.len() != vol {
+        return Err(RlError::Nn(NnError::BadDimensions {
+            detail: format!("observation has {} elements, expected {vol}", obs.len()),
+        }));
+    }
+    states[slot * vol..(slot + 1) * vol].copy_from_slice(obs.data());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -227,61 +163,61 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One greedy episode of `env` through the batched runner.
+    fn greedy(env: &GridWorld, learner: &mut dyn Learner, rng: StdRng) -> EpisodeSummary {
+        let (mut envs, mut rngs) = (vec![env.clone()], vec![rng]);
+        run_greedy_episodes_batch(learner, &mut envs, &mut rngs, &mut BatchInferCtx::new()).unwrap()
+            [0]
+    }
+
     #[test]
     fn episode_terminates() {
         let mut env = GridWorld::standard_layouts(1)[0].clone();
         let mut rng = StdRng::seed_from_u64(0);
         let mut learner = QLearner::gridworld_default(&mut rng).unwrap();
-        let s = run_episode(&mut env, &mut learner, &mut rng).unwrap();
+        let s = run_episode(&mut env, &mut learner, &mut rng, &mut BatchInferCtx::new()).unwrap();
         assert!(s.steps > 0);
         assert!(s.outcome.is_terminal());
     }
 
     #[test]
     fn greedy_episode_does_not_train() {
-        let mut env = GridWorld::standard_layouts(1)[0].clone();
+        let env = GridWorld::standard_layouts(1)[0].clone();
         let mut rng = StdRng::seed_from_u64(0);
         let mut learner = QLearner::gridworld_default(&mut rng).unwrap();
         let before = learner.network().snapshot();
-        run_greedy_episode(&mut env, &mut learner, &mut rng).unwrap();
+        greedy(&env, &mut learner, rng);
         assert_eq!(learner.network().snapshot(), before);
     }
 
     #[test]
-    fn batched_episodes_match_sequential_greedy_runs() {
+    fn batched_episodes_match_one_at_a_time_runs() {
         // Train one policy, then evaluate the same four environments
-        // sequentially and in lock-step: summaries must be identical
+        // one at a time and in lock-step: summaries must be identical
         // (actions are bit-identical, env RNG streams are per-episode).
         let mut rng = StdRng::seed_from_u64(9);
         let mut learner = QLearner::gridworld_default(&mut rng).unwrap();
         let layouts = GridWorld::standard_layouts(4);
+        let mut ctx = BatchInferCtx::new();
         for env in layouts.iter().take(4) {
             let mut env = env.clone();
             for _ in 0..120 {
-                run_episode(&mut env, &mut learner, &mut rng).unwrap();
+                run_episode(&mut env, &mut learner, &mut rng, &mut ctx).unwrap();
             }
         }
-        let mut seq_envs: Vec<GridWorld> = layouts.iter().take(4).cloned().collect();
-        let sequential: Vec<EpisodeSummary> = seq_envs
-            .iter_mut()
+        let alone: Vec<EpisodeSummary> = layouts
+            .iter()
+            .take(4)
             .enumerate()
-            .map(|(i, env)| {
-                let mut eval_rng = StdRng::seed_from_u64(1000 + i as u64);
-                run_greedy_episode_ctx(env, &mut learner, &mut eval_rng, &mut InferCtx::new())
-                    .unwrap()
-            })
+            .map(|(i, env)| greedy(env, &mut learner, StdRng::seed_from_u64(1000 + i as u64)))
             .collect();
         let mut batch_envs: Vec<GridWorld> = layouts.iter().take(4).cloned().collect();
         let mut eval_rngs: Vec<StdRng> =
             (0..4).map(|i| StdRng::seed_from_u64(1000 + i as u64)).collect();
-        let batched = run_greedy_episodes_batch(
-            &mut learner,
-            &mut batch_envs,
-            &mut eval_rngs,
-            &mut BatchInferCtx::new(),
-        )
-        .unwrap();
-        assert_eq!(batched, sequential);
+        let batched =
+            run_greedy_episodes_batch(&mut learner, &mut batch_envs, &mut eval_rngs, &mut ctx)
+                .unwrap();
+        assert_eq!(batched, alone);
     }
 
     #[test]
@@ -296,17 +232,9 @@ mod tests {
         )
         .unwrap();
         assert!(none.is_empty());
-        let mut envs = vec![GridWorld::standard_layouts(1)[0].clone()];
-        let mut rngs = vec![StdRng::seed_from_u64(7)];
-        let one = run_greedy_episodes_batch(
-            &mut learner,
-            &mut envs,
-            &mut rngs,
-            &mut BatchInferCtx::new(),
-        )
-        .unwrap();
-        assert_eq!(one.len(), 1);
-        assert!(one[0].outcome.is_terminal());
+        let one =
+            greedy(&GridWorld::standard_layouts(1)[0], &mut learner, StdRng::seed_from_u64(7));
+        assert!(one.outcome.is_terminal());
     }
 
     #[test]
@@ -315,15 +243,15 @@ mod tests {
         let mut env = GridWorld::from_spec(&frlfi_envs::standard_layout_specs(11, 1)[0]);
         let mut rng = StdRng::seed_from_u64(1);
         let mut learner = QLearner::gridworld_default(&mut rng).unwrap();
+        let mut ctx = BatchInferCtx::new();
         for _ in 0..600 {
-            run_episode(&mut env, &mut learner, &mut rng).unwrap();
+            run_episode(&mut env, &mut learner, &mut rng, &mut ctx).unwrap();
         }
-        let successes = (0..20)
-            .filter(|_| {
-                run_greedy_episode(&mut env, &mut learner, &mut rng).unwrap().outcome
-                    == Outcome::Goal
-            })
-            .count();
+        let mut envs = vec![env; 20];
+        let mut rngs: Vec<StdRng> = (0..20).map(|i| StdRng::seed_from_u64(100 + i)).collect();
+        let summaries =
+            run_greedy_episodes_batch(&mut learner, &mut envs, &mut rngs, &mut ctx).unwrap();
+        let successes = summaries.iter().filter(|s| s.outcome == Outcome::Goal).count();
         assert!(successes >= 15, "only {successes}/20 greedy episodes reached the goal");
     }
 }

@@ -29,19 +29,12 @@ pub struct Transition {
 /// layer (which quarantines the trial) instead of panicking inside a
 /// worker.
 pub trait Learner: Send {
-    /// Selects an action during training (exploration allowed).
+    /// Selects an action greedily (inference phase: pure exploitation).
     ///
     /// # Errors
     ///
     /// Returns an error if the observation does not fit the policy
     /// network.
-    fn act(&mut self, state: &Tensor, rng: &mut dyn RngCore) -> Result<usize, RlError>;
-
-    /// Selects an action greedily (inference phase: pure exploitation).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Learner::act`].
     fn act_greedy(&mut self, state: &Tensor) -> Result<usize, RlError>;
 
     /// [`Learner::act_greedy`] on the zero-allocation inference fast
@@ -52,29 +45,24 @@ pub trait Learner: Send {
     ///
     /// # Errors
     ///
-    /// As for [`Learner::act`].
+    /// As for [`Learner::act_greedy`].
     fn act_greedy_ctx(&mut self, state: &Tensor, ctx: &mut InferCtx) -> Result<usize, RlError> {
         let _ = ctx;
         self.act_greedy(state)
     }
 
-    /// [`Learner::act`] on the batched-inference scratch arena: the
-    /// exploration draw must consume `rng` exactly like `act` and pick
-    /// the same action (the fast path is bit-identical per observation),
-    /// which the default delegation trivially guarantees.
+    /// Selects an action during training (exploration allowed), with
+    /// the policy forward on `ctx`'s batched-inference scratch arena.
     ///
     /// # Errors
     ///
-    /// As for [`Learner::act`].
+    /// As for [`Learner::act_greedy`].
     fn act_train_ctx(
         &mut self,
         state: &Tensor,
         rng: &mut dyn RngCore,
         ctx: &mut BatchInferCtx,
-    ) -> Result<usize, RlError> {
-        let _ = ctx;
-        self.act(state, rng)
-    }
+    ) -> Result<usize, RlError>;
 
     /// Greedy action selection over a whole **batch** of observations:
     /// `states` holds `batch` concatenated sample-major observation
@@ -109,53 +97,28 @@ pub trait Learner: Send {
         Ok(())
     }
 
-    /// Feeds one transition; value methods may update online here.
+    /// Feeds one transition; value methods update online here, routing
+    /// their forwards/backwards through `ctx`'s cached-activation
+    /// kernels.
     ///
     /// # Errors
     ///
     /// Returns an error if the transition's observations do not fit the
     /// policy network.
-    fn observe(&mut self, transition: Transition) -> Result<(), RlError>;
-
-    /// [`Learner::observe`] on the batched-training scratch arena: the
-    /// learner may route its forwards/backwards through `ctx`'s cached
-    /// kernels, but the resulting weights must stay **bit-identical**
-    /// to `observe` — which the default delegation trivially
-    /// guarantees.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Learner::observe`].
     fn observe_ctx(
         &mut self,
         transition: Transition,
         ctx: &mut BatchInferCtx,
-    ) -> Result<(), RlError> {
-        let _ = ctx;
-        self.observe(transition)
-    }
+    ) -> Result<(), RlError>;
 
-    /// Signals the episode end; Monte-Carlo methods update here.
+    /// Signals the episode end; Monte-Carlo methods run their update
+    /// here as one batched forward/backward over the buffered steps.
     ///
     /// # Errors
     ///
     /// Returns an error if a buffered observation does not fit the
     /// policy network.
-    fn end_episode(&mut self) -> Result<(), RlError>;
-
-    /// [`Learner::end_episode`] on the batched-training scratch arena:
-    /// Monte-Carlo methods may run their per-episode update as one
-    /// batched forward/backward over the buffered steps, but the
-    /// resulting weights must stay **bit-identical** to `end_episode` —
-    /// which the default delegation trivially guarantees.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Learner::end_episode`].
-    fn end_episode_ctx(&mut self, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
-        let _ = ctx;
-        self.end_episode()
-    }
+    fn end_episode_ctx(&mut self, ctx: &mut BatchInferCtx) -> Result<(), RlError>;
 
     /// Advances the learner's episode counter (exploration schedules).
     fn set_episode(&mut self, episode: usize);

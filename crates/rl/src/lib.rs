@@ -14,10 +14,12 @@
 //! * [`EpsilonSchedule`] — the decaying exploration/exploitation ratio
 //!   that separates the paper's *training* phase (decaying ε) from its
 //!   *inference* phase (pure exploitation, §III-B);
-//! * [`run_episode`] / [`run_greedy_episode`] — seeded episode drivers.
+//! * [`run_episode`] / [`run_greedy_episodes_batch`] — seeded episode
+//!   drivers for training and lock-step greedy evaluation.
 //!
 //! ```
 //! use frlfi_envs::{Environment, GridWorld};
+//! use frlfi_nn::BatchInferCtx;
 //! use frlfi_rl::{run_episode, EpsilonSchedule, Learner, QLearner};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -25,7 +27,7 @@
 //! let mut env = GridWorld::standard_layouts(3)[0].clone();
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut learner = QLearner::gridworld_default(&mut rng)?;
-//! let summary = run_episode(&mut env, &mut learner, &mut rng)?;
+//! let summary = run_episode(&mut env, &mut learner, &mut rng, &mut BatchInferCtx::new())?;
 //! assert!(summary.steps > 0);
 //! # Ok(())
 //! # }
@@ -39,15 +41,12 @@ mod qlearn;
 mod reinforce;
 mod schedule;
 
-pub use episode::{
-    run_episode, run_episode_batched, run_greedy_episode, run_greedy_episode_ctx,
-    run_greedy_episodes_batch, EpisodeSummary,
-};
+pub use episode::{run_episode, run_greedy_episodes_batch, EpisodeSummary};
 pub use error::RlError;
 pub use learner::{Learner, Transition};
 pub use policy::{
-    eps_greedy, eps_greedy_slice, greedy_argmax, sample_categorical, sample_categorical_slice,
-    softmax, softmax_argmax, softmax_into,
+    eps_greedy_slice, greedy_argmax, sample_categorical_slice, softmax, softmax_argmax,
+    softmax_into,
 };
 pub use qlearn::QLearner;
 pub use reinforce::Reinforce;

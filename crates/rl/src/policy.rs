@@ -51,13 +51,6 @@ pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
 ///
 /// Falls back to uniform if the probabilities are degenerate (all zero /
 /// non-finite), which can happen under heavy fault injection.
-pub fn sample_categorical(probs: &Tensor, rng: &mut dyn RngCore) -> usize {
-    sample_categorical_slice(probs.data(), rng)
-}
-
-/// [`sample_categorical`] over a borrowed probability slice — the tensor
-/// version delegates here, so both draw identically from the same RNG
-/// stream.
 pub fn sample_categorical_slice(probs: &[f32], rng: &mut dyn RngCore) -> usize {
     let n = probs.len();
     let total: f32 = probs.iter().filter(|p| p.is_finite() && **p > 0.0).sum();
@@ -130,13 +123,7 @@ pub fn softmax_argmax(logits: &[f32]) -> usize {
     best
 }
 
-/// ε-greedy selection over a rank-1 Q-value tensor.
-pub fn eps_greedy(q_values: &Tensor, epsilon: f32, rng: &mut dyn RngCore) -> usize {
-    eps_greedy_slice(q_values.data(), epsilon, rng)
-}
-
-/// [`eps_greedy`] over a borrowed Q-value slice — the tensor version
-/// delegates here, so both consume the RNG stream identically.
+/// ε-greedy selection over a borrowed Q-value slice.
 pub fn eps_greedy_slice(q_values: &[f32], epsilon: f32, rng: &mut dyn RngCore) -> usize {
     let n = q_values.len();
     let u = uniform_f32(rng);
@@ -198,17 +185,17 @@ mod tests {
     #[test]
     fn sample_respects_point_mass() {
         let mut rng = StdRng::seed_from_u64(0);
-        let probs = Tensor::from_vec(vec![3], vec![0.0, 1.0, 0.0]).unwrap();
+        let probs = [0.0, 1.0, 0.0];
         for _ in 0..50 {
-            assert_eq!(sample_categorical(&probs, &mut rng), 1);
+            assert_eq!(sample_categorical_slice(&probs, &mut rng), 1);
         }
     }
 
     #[test]
     fn sample_roughly_matches_distribution() {
         let mut rng = StdRng::seed_from_u64(1);
-        let probs = Tensor::from_vec(vec![2], vec![0.8, 0.2]).unwrap();
-        let hits = (0..5000).filter(|_| sample_categorical(&probs, &mut rng) == 0).count();
+        let probs = [0.8, 0.2];
+        let hits = (0..5000).filter(|_| sample_categorical_slice(&probs, &mut rng) == 0).count();
         let frac = hits as f32 / 5000.0;
         assert!((frac - 0.8).abs() < 0.05, "frac {frac}");
     }
@@ -216,10 +203,10 @@ mod tests {
     #[test]
     fn sample_degenerate_falls_back_to_uniform() {
         let mut rng = StdRng::seed_from_u64(2);
-        let probs = Tensor::from_vec(vec![4], vec![0.0; 4]).unwrap();
+        let probs = [0.0; 4];
         let mut seen = [false; 4];
         for _ in 0..200 {
-            seen[sample_categorical(&probs, &mut rng)] = true;
+            seen[sample_categorical_slice(&probs, &mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -227,24 +214,21 @@ mod tests {
     #[test]
     fn greedy_picks_argmax() {
         let mut rng = StdRng::seed_from_u64(3);
-        let q = Tensor::from_vec(vec![3], vec![0.1, 0.9, 0.5]).unwrap();
-        assert_eq!(eps_greedy(&q, 0.0, &mut rng), 1);
+        assert_eq!(eps_greedy_slice(&[0.1, 0.9, 0.5], 0.0, &mut rng), 1);
     }
 
     #[test]
     fn greedy_skips_nan() {
         let mut rng = StdRng::seed_from_u64(4);
-        let q = Tensor::from_vec(vec![3], vec![0.1, f32::NAN, 0.5]).unwrap();
-        assert_eq!(eps_greedy(&q, 0.0, &mut rng), 2);
+        assert_eq!(eps_greedy_slice(&[0.1, f32::NAN, 0.5], 0.0, &mut rng), 2);
     }
 
     #[test]
     fn full_epsilon_explores_everything() {
         let mut rng = StdRng::seed_from_u64(5);
-        let q = Tensor::from_vec(vec![4], vec![9.0, 0.0, 0.0, 0.0]).unwrap();
         let mut seen = [false; 4];
         for _ in 0..300 {
-            seen[eps_greedy(&q, 1.0, &mut rng)] = true;
+            seen[eps_greedy_slice(&[9.0, 0.0, 0.0, 0.0], 1.0, &mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }

@@ -1,6 +1,4 @@
-use crate::{
-    eps_greedy, eps_greedy_slice, greedy_argmax, EpsilonSchedule, Learner, RlError, Transition,
-};
+use crate::{eps_greedy_slice, greedy_argmax, EpsilonSchedule, Learner, RlError, Transition};
 use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Network, NetworkBuilder, NnError};
 use frlfi_tensor::Tensor;
 use rand::{Rng, RngCore};
@@ -68,16 +66,17 @@ impl QLearner {
         self.schedule.epsilon(self.episode)
     }
 
-    /// One TD update on the batched-training fast path: the TD target's
+    /// One TD update toward the one-step target: the TD target's
     /// next-state forward runs through the arena kernels (no gradients
     /// flow through it), and the current-state forward is cached in
     /// `ctx` so the backward runs the batched kernels at batch 1 —
     /// which route through the reference kernels, so the updated
-    /// weights are **bit-identical** to [`Learner::observe`].
+    /// weights are **bit-identical** to a single-sample
+    /// `Network::forward`/`backward` update.
     ///
     /// The two forwards are deliberately *not* fused into one batch of
     /// two: a fused backward would feed the bias-gradient accumulator an
-    /// extra `+0.0` for the next-state row (the reference path runs a
+    /// extra `+0.0` for the next-state row (the reference kernels run a
     /// single backward), which is not bitwise-neutral for -0.0/NaN
     /// payloads.
     fn learn_one(&mut self, t: &Transition, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
@@ -115,10 +114,9 @@ impl QLearner {
     /// arena. TD learning is online — each update sees the weights the
     /// previous one produced — so transitions are processed strictly in
     /// order; the batching win here is routing every forward/backward
-    /// through the allocation-free arena kernels instead of the
-    /// tensor-allocating reference path. Weights after the call are
-    /// **bit-identical** to calling [`Learner::observe`] on each
-    /// transition in order.
+    /// through the allocation-free arena kernels. Weights after the
+    /// call are **bit-identical** to calling [`Learner::observe_ctx`]
+    /// on each transition in order.
     ///
     /// # Errors
     ///
@@ -138,11 +136,6 @@ impl QLearner {
 }
 
 impl Learner for QLearner {
-    fn act(&mut self, state: &Tensor, rng: &mut dyn RngCore) -> Result<usize, RlError> {
-        let q = self.net.forward(state)?;
-        Ok(eps_greedy(&q, self.schedule.epsilon(self.episode), rng))
-    }
-
     fn act_greedy(&mut self, state: &Tensor) -> Result<usize, RlError> {
         let q = self.net.forward(state)?;
         Ok(greedy_argmax(q.data()))
@@ -159,9 +152,6 @@ impl Learner for QLearner {
         rng: &mut dyn RngCore,
         ctx: &mut BatchInferCtx,
     ) -> Result<usize, RlError> {
-        // Same Q-values bit for bit as `act` (the fast path is
-        // bit-identical) and the same `eps_greedy` RNG consumption, so
-        // training trajectories are unchanged.
         let shape = ActShape::from_dims(state.shape().dims())?;
         let q = self.net.infer_batch(state.data(), &shape, 1, ctx)?;
         Ok(eps_greedy_slice(q, self.schedule.epsilon(self.episode), rng))
@@ -183,40 +173,11 @@ impl Learner for QLearner {
         Ok(())
     }
 
-    fn observe(&mut self, t: Transition) -> Result<(), RlError> {
-        // One-step TD target (computed before re-running forward on the
-        // current state so layer caches hold the right activations).
-        let target = match &t.next_state {
-            Some(ns) => {
-                let next_q = self.net.forward(ns)?;
-                let max_next = next_q
-                    .data()
-                    .iter()
-                    .cloned()
-                    .filter(|v| v.is_finite())
-                    .fold(f32::NEG_INFINITY, f32::max);
-                let max_next = if max_next.is_finite() { max_next } else { 0.0 };
-                t.reward + self.gamma * max_next
-            }
-            None => t.reward,
-        };
-        let q = self.net.forward(&t.state)?;
-        let mut grad = vec![0.0f32; q.len()];
-        let delta = q.data()[t.action] - target;
-        // Clip the TD error so fault-corrupted outliers cannot blow up
-        // training with a single step (standard DQN-style safeguard).
-        grad[t.action] = delta.clamp(-10.0, 10.0);
-        let grad = Tensor::from_vec(vec![grad.len()], grad)?;
-        self.net.backward(&grad)?;
-        self.net.apply_grads(self.lr);
-        Ok(())
-    }
-
     fn observe_ctx(&mut self, t: Transition, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
         self.learn_one(&t, ctx)
     }
 
-    fn end_episode(&mut self) -> Result<(), RlError> {
+    fn end_episode_ctx(&mut self, _ctx: &mut BatchInferCtx) -> Result<(), RlError> {
         self.episode += 1;
         Ok(())
     }
@@ -246,9 +207,10 @@ mod tests {
         let mut q = QLearner::gridworld_default(&mut rng).unwrap();
         let s = Tensor::from_vec(vec![6], vec![0.0, 1.0, -1.0, 0.0, -1.0, 1.0]).unwrap();
         let before = q.network_mut().forward(&s).unwrap().data()[2];
+        let mut ctx = BatchInferCtx::new();
         for _ in 0..20 {
-            q.observe(Transition { state: s.clone(), action: 2, reward: 1.0, next_state: None })
-                .unwrap();
+            let t = Transition { state: s.clone(), action: 2, reward: 1.0, next_state: None };
+            q.observe_ctx(t, &mut ctx).unwrap();
         }
         let after = q.network_mut().forward(&s).unwrap().data()[2];
         assert!(
@@ -281,9 +243,10 @@ mod tests {
         let mut q = QLearner::gridworld_default(&mut rng).unwrap();
         let s = Tensor::from_vec(vec![6], vec![0.0; 6]).unwrap();
         // Hammer a terminal reward of −1 on action 0.
+        let mut ctx = BatchInferCtx::new();
         for _ in 0..600 {
-            q.observe(Transition { state: s.clone(), action: 0, reward: -1.0, next_state: None })
-                .unwrap();
+            let t = Transition { state: s.clone(), action: 0, reward: -1.0, next_state: None };
+            q.observe_ctx(t, &mut ctx).unwrap();
         }
         let v = q.network_mut().forward(&s).unwrap().data()[0];
         assert!((v + 1.0).abs() < 0.2, "terminal Q should approach −1, got {v}");

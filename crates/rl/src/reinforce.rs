@@ -1,6 +1,5 @@
 use crate::{
-    sample_categorical, sample_categorical_slice, softmax, softmax_argmax, softmax_into, Learner,
-    RlError, Transition,
+    sample_categorical_slice, softmax, softmax_argmax, softmax_into, Learner, RlError, Transition,
 };
 use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Network, NetworkBuilder, NnError};
 use frlfi_tensor::Tensor;
@@ -98,20 +97,16 @@ impl Reinforce {
     }
 
     /// The per-episode REINFORCE update as **one batched forward and
-    /// one batched backward** over the buffered steps — this is where
-    /// batched training pays: for a T-step episode the sequential
-    /// reference runs T tensor-allocating forwards and T backwards,
-    /// while this path runs a single arena-backed batch of all kept
-    /// steps.
+    /// one batched backward** over the buffered steps: for a T-step
+    /// episode this runs a single arena-backed batch of every kept step
+    /// instead of T single-sample forwards and backwards.
     ///
-    /// Bitwise contract with [`Learner::end_episode`]: returns,
-    /// advantages, the `advantage == 0.0` step filter, per-row softmax,
-    /// gradient rows, the `lr / T` scale and the baseline EMA are all
-    /// computed identically, and the batched backward accumulates every
+    /// Steps whose advantage is exactly `0.0` are skipped before any
+    /// forward runs, and the batched backward accumulates every
     /// parameter-gradient element in ascending step order — exactly the
-    /// order the sequential per-step backwards accumulate (weights only
-    /// change at the single `apply_grads`). Trained weights are
-    /// therefore bit-identical.
+    /// order per-step single-sample backwards would accumulate (weights
+    /// only change at the single `apply_grads`), so the trained weights
+    /// are bit-identical to that per-step formulation.
     ///
     /// # Errors
     ///
@@ -132,8 +127,8 @@ impl Reinforce {
         }
         let episode_return = returns[0];
 
-        // Steps the sequential path would actually train on (it skips
-        // zero-advantage steps before running any forward).
+        // Steps that carry a gradient (zero-advantage steps are
+        // skipped before running any forward).
         let kept: Vec<(usize, f32)> = returns
             .iter()
             .enumerate()
@@ -187,11 +182,6 @@ impl Reinforce {
 }
 
 impl Learner for Reinforce {
-    fn act(&mut self, state: &Tensor, rng: &mut dyn RngCore) -> Result<usize, RlError> {
-        let logits = self.net.forward(state)?;
-        Ok(sample_categorical(&softmax(&logits), rng))
-    }
-
     fn act_greedy(&mut self, state: &Tensor) -> Result<usize, RlError> {
         let logits = self.net.forward(state)?;
         Ok(softmax(&logits).argmax())
@@ -211,9 +201,8 @@ impl Learner for Reinforce {
         rng: &mut dyn RngCore,
         ctx: &mut BatchInferCtx,
     ) -> Result<usize, RlError> {
-        // Same logits bit for bit as `act`, the bit-exact softmax
-        // replay, and the same sampler RNG consumption — training
-        // trajectories are unchanged.
+        // The bit-exact softmax replay over the borrowed logits row,
+        // then one categorical draw.
         let shape = ActShape::from_dims(state.shape().dims())?;
         let logits = self.net.infer_batch(state.data(), &shape, 1, ctx)?;
         softmax_into(logits, &mut self.probs_scratch);
@@ -238,46 +227,8 @@ impl Learner for Reinforce {
         Ok(())
     }
 
-    fn observe(&mut self, t: Transition) -> Result<(), RlError> {
+    fn observe_ctx(&mut self, t: Transition, _ctx: &mut BatchInferCtx) -> Result<(), RlError> {
         self.episode_buf.push(t);
-        Ok(())
-    }
-
-    fn end_episode(&mut self) -> Result<(), RlError> {
-        if self.episode_buf.is_empty() {
-            self.episode += 1;
-            return Ok(());
-        }
-        // Discounted returns, computed backward.
-        let mut returns = vec![0.0f32; self.episode_buf.len()];
-        let mut g = 0.0;
-        for (i, t) in self.episode_buf.iter().enumerate().rev() {
-            g = t.reward + self.gamma * g;
-            returns[i] = g;
-        }
-        let episode_return = returns[0];
-
-        for (t, &g_t) in self.episode_buf.iter().zip(returns.iter()) {
-            let advantage = (g_t - self.baseline).clamp(-50.0, 50.0);
-            if advantage == 0.0 {
-                continue;
-            }
-            let logits = self.net.forward(&t.state)?;
-            let probs = softmax(&logits);
-            // ∇_logits −log π(a) · A = (π − one_hot(a)) · A
-            let mut grad: Vec<f32> = probs.data().iter().map(|&p| p * advantage).collect();
-            grad[t.action] -= advantage;
-            let grad = Tensor::from_vec(vec![grad.len()], grad)?;
-            self.net.backward(&grad)?;
-        }
-        // One SGD step per episode, scaled by episode length.
-        let scale = self.lr / self.episode_buf.len() as f32;
-        self.net.apply_grads(scale);
-
-        self.baseline = self.baseline_momentum * self.baseline
-            + (1.0 - self.baseline_momentum) * episode_return;
-        self.episode_buf.clear();
-        self.episode += 1;
         Ok(())
     }
 
@@ -311,12 +262,13 @@ mod tests {
         let net = NetworkBuilder::new(1).dense(8).relu().dense(2).build(&mut rng).unwrap();
         let mut pi = Reinforce::new(net, 1.0, 0.1);
         let s = Tensor::from_vec(vec![1], vec![1.0]).unwrap();
+        let mut ctx = BatchInferCtx::new();
         for _ in 0..300 {
-            let a = pi.act(&s, &mut rng).unwrap();
+            let a = pi.act_train_ctx(&s, &mut rng, &mut ctx).unwrap();
             let r = if a == 1 { 1.0 } else { -1.0 };
-            pi.observe(Transition { state: s.clone(), action: a, reward: r, next_state: None })
-                .unwrap();
-            pi.end_episode().unwrap();
+            let t = Transition { state: s.clone(), action: a, reward: r, next_state: None };
+            pi.observe_ctx(t, &mut ctx).unwrap();
+            pi.end_episode_ctx(&mut ctx).unwrap();
         }
         assert_eq!(pi.act_greedy(&s).unwrap(), 1, "should prefer the rewarded arm");
         let logits = pi.network_mut().forward(&s).unwrap();
@@ -329,7 +281,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut pi = Reinforce::gridworld_default(&mut rng).unwrap();
         let before = pi.network().snapshot();
-        pi.end_episode().unwrap();
+        pi.end_episode_ctx(&mut BatchInferCtx::new()).unwrap();
         assert_eq!(pi.network().snapshot(), before);
     }
 
@@ -338,10 +290,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut pi = Reinforce::gridworld_default(&mut rng).unwrap();
         let s = Tensor::from_vec(vec![6], vec![0.0; 6]).unwrap();
+        let mut ctx = BatchInferCtx::new();
         for _ in 0..50 {
-            pi.observe(Transition { state: s.clone(), action: 0, reward: 2.0, next_state: None })
-                .unwrap();
-            pi.end_episode().unwrap();
+            let t = Transition { state: s.clone(), action: 0, reward: 2.0, next_state: None };
+            pi.observe_ctx(t, &mut ctx).unwrap();
+            pi.end_episode_ctx(&mut ctx).unwrap();
         }
         assert!(pi.baseline() > 1.0, "baseline {} should approach 2.0", pi.baseline());
     }
@@ -350,7 +303,9 @@ mod tests {
     fn drone_default_runs_forward() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut pi = Reinforce::drone_default(&mut rng).unwrap();
-        let a = pi.act(&Tensor::zeros(vec![1, 9, 16]), &mut rng).unwrap();
+        let a = pi
+            .act_train_ctx(&Tensor::zeros(vec![1, 9, 16]), &mut rng, &mut BatchInferCtx::new())
+            .unwrap();
         assert!(a < 25);
     }
 }

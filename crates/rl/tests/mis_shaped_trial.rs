@@ -5,10 +5,9 @@
 //! rest of the sweep alive.
 
 use frlfi_envs::{Environment, Outcome, Step};
-use frlfi_nn::{BatchInferCtx, InferCtx};
+use frlfi_nn::{ActShape, BatchInferCtx, InferCtx};
 use frlfi_rl::{
-    run_episode, run_episode_batched, run_greedy_episode, run_greedy_episode_ctx, Learner,
-    QLearner, Reinforce, RlError, Transition,
+    run_episode, run_greedy_episodes_batch, Learner, QLearner, Reinforce, RlError, Transition,
 };
 use frlfi_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -64,24 +63,19 @@ fn mis_shaped_observation_errors_through_every_episode_driver() {
     let mut q = QLearner::gridworld_default(&mut rng).expect("learner");
     let mut pi = Reinforce::gridworld_default(&mut rng).expect("learner");
     let mut env = MisShapedEnv::new(9);
+    let mut ctx = BatchInferCtx::new();
 
-    assert_shape_error(run_episode(&mut env, &mut q, &mut rng), "run_episode/QLearner");
-    assert_shape_error(run_episode(&mut env, &mut pi, &mut rng), "run_episode/Reinforce");
+    assert_shape_error(run_episode(&mut env, &mut q, &mut rng, &mut ctx), "run_episode/QLearner");
+    assert_shape_error(run_episode(&mut env, &mut pi, &mut rng, &mut ctx), "run_episode/Reinforce");
+    let mut envs = vec![MisShapedEnv::new(9), MisShapedEnv::new(9)];
+    let mut rngs = vec![StdRng::seed_from_u64(1), StdRng::seed_from_u64(2)];
     assert_shape_error(
-        run_episode_batched(&mut env, &mut q, &mut rng, &mut BatchInferCtx::new()),
-        "run_episode_batched/QLearner",
+        run_greedy_episodes_batch(&mut q, &mut envs, &mut rngs, &mut ctx),
+        "run_greedy_episodes_batch/QLearner",
     );
     assert_shape_error(
-        run_episode_batched(&mut env, &mut pi, &mut rng, &mut BatchInferCtx::new()),
-        "run_episode_batched/Reinforce",
-    );
-    assert_shape_error(
-        run_greedy_episode(&mut env, &mut q, &mut rng),
-        "run_greedy_episode/QLearner",
-    );
-    assert_shape_error(
-        run_greedy_episode_ctx(&mut env, &mut pi, &mut rng, &mut InferCtx::new()),
-        "run_greedy_episode_ctx/Reinforce",
+        run_greedy_episodes_batch(&mut pi, &mut envs, &mut rngs, &mut ctx),
+        "run_greedy_episodes_batch/Reinforce",
     );
 }
 
@@ -92,31 +86,48 @@ fn mis_shaped_observation_errors_through_direct_learner_calls() {
     let mut pi = Reinforce::gridworld_default(&mut rng).expect("learner");
     let bad = Tensor::zeros(vec![9]);
     let good = Tensor::zeros(vec![6]);
+    let mut ctx = BatchInferCtx::new();
+    let mut ictx = InferCtx::new();
+    // A batch of two rows, each one element short of the policy input.
+    let short = ActShape::from_dims(&[5]).expect("shape");
+    let mut actions = [0usize; 2];
 
-    assert_shape_error(q.act(&bad, &mut rng), "QLearner::act");
-    assert_shape_error(q.act_greedy(&bad), "QLearner::act_greedy");
+    assert_shape_error(q.act_train_ctx(&bad, &mut rng, &mut ctx), "QLearner::act_train_ctx");
+    assert_shape_error(q.act_greedy_ctx(&bad, &mut ictx), "QLearner::act_greedy_ctx");
     assert_shape_error(
-        q.observe(Transition { state: bad.clone(), action: 0, reward: 0.0, next_state: None }),
-        "QLearner::observe(bad state)",
+        q.act_greedy_batch(&[0.0; 10], &short, 2, &mut ctx, &mut actions),
+        "QLearner::act_greedy_batch",
     );
     assert_shape_error(
-        q.observe(Transition {
-            state: good.clone(),
-            action: 0,
-            reward: 0.0,
-            next_state: Some(bad.clone()),
-        }),
-        "QLearner::observe(bad next_state)",
+        q.observe_ctx(
+            Transition { state: bad.clone(), action: 0, reward: 0.0, next_state: None },
+            &mut ctx,
+        ),
+        "QLearner::observe_ctx(bad state)",
     );
-    assert_shape_error(pi.act(&bad, &mut rng), "Reinforce::act");
+    assert_shape_error(
+        q.observe_ctx(
+            Transition {
+                state: good.clone(),
+                action: 0,
+                reward: 0.0,
+                next_state: Some(bad.clone()),
+            },
+            &mut ctx,
+        ),
+        "QLearner::observe_ctx(bad next_state)",
+    );
+    assert_shape_error(pi.act_train_ctx(&bad, &mut rng, &mut ctx), "Reinforce::act_train_ctx");
+    assert_shape_error(pi.act_greedy_ctx(&bad, &mut ictx), "Reinforce::act_greedy_ctx");
+    assert_shape_error(
+        pi.act_greedy_batch(&[0.0; 10], &short, 2, &mut ctx, &mut actions),
+        "Reinforce::act_greedy_batch",
+    );
     // REINFORCE defers its update to the episode end: a mis-shaped
-    // buffered observation must fail there, through both update paths.
-    pi.observe(Transition { state: bad.clone(), action: 0, reward: 1.0, next_state: None })
+    // buffered observation must fail there.
+    pi.observe_ctx(Transition { state: bad, action: 0, reward: 1.0, next_state: None }, &mut ctx)
         .expect("buffering alone does not touch the network");
-    assert_shape_error(pi.end_episode(), "Reinforce::end_episode");
-    pi.observe(Transition { state: bad, action: 0, reward: 1.0, next_state: None })
-        .expect("buffering alone does not touch the network");
-    assert_shape_error(pi.end_episode_ctx(&mut BatchInferCtx::new()), "Reinforce::end_episode_ctx");
+    assert_shape_error(pi.end_episode_ctx(&mut ctx), "Reinforce::end_episode_ctx");
 }
 
 #[test]
@@ -128,6 +139,6 @@ fn mis_shaped_trial_leaves_learner_weights_untouched() {
     let mut q = QLearner::gridworld_default(&mut rng).expect("learner");
     let before = q.network().snapshot();
     let mut env = MisShapedEnv::new(9);
-    assert!(run_episode(&mut env, &mut q, &mut rng).is_err());
+    assert!(run_episode(&mut env, &mut q, &mut rng, &mut BatchInferCtx::new()).is_err());
     assert_eq!(q.network().snapshot(), before, "failed episode must not step the weights");
 }

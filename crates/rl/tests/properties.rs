@@ -1,9 +1,10 @@
 //! Property-based tests for the RL substrate.
 
 use frlfi_envs::GridWorld;
+use frlfi_nn::BatchInferCtx;
 use frlfi_rl::{
-    run_episode, run_greedy_episode, sample_categorical, softmax, EpsilonSchedule, Learner,
-    QLearner, Reinforce, Transition,
+    run_episode, run_greedy_episodes_batch, sample_categorical_slice, softmax, EpsilonSchedule,
+    Learner, QLearner, Reinforce, Transition,
 };
 use frlfi_tensor::Tensor;
 use proptest::prelude::*;
@@ -33,10 +34,9 @@ proptest! {
     #[test]
     fn sample_always_in_range(seed in any::<u64>(), probs in proptest::collection::vec(0.0f32..1.0, 1..16)) {
         let n = probs.len();
-        let t = Tensor::from_vec(vec![n], probs).expect("probs");
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..32 {
-            prop_assert!(sample_categorical(&t, &mut rng) < n);
+            prop_assert!(sample_categorical_slice(&probs, &mut rng) < n);
         }
     }
 
@@ -58,7 +58,8 @@ proptest! {
             let mut env = GridWorld::from_spec(&frlfi_envs::standard_layout_specs(env_seed, 1)[0]);
             let mut rng = StdRng::seed_from_u64(learner_seed);
             let mut learner = QLearner::gridworld_default(&mut rng).expect("learner");
-            let s = run_episode(&mut env, &mut learner, &mut rng).expect("episode runs");
+            let s = run_episode(&mut env, &mut learner, &mut rng, &mut BatchInferCtx::new())
+                .expect("episode runs");
             (s.steps, s.total_reward.to_bits(), learner.network().snapshot())
         };
         prop_assert_eq!(run(), run());
@@ -66,11 +67,12 @@ proptest! {
 
     #[test]
     fn greedy_episode_never_mutates_policy(env_seed in any::<u64>()) {
-        let mut env = GridWorld::from_spec(&frlfi_envs::standard_layout_specs(env_seed, 1)[0]);
+        let mut envs = vec![GridWorld::from_spec(&frlfi_envs::standard_layout_specs(env_seed, 1)[0])];
         let mut rng = StdRng::seed_from_u64(env_seed);
         let mut learner = Reinforce::gridworld_default(&mut rng).expect("learner");
         let before = learner.network().snapshot();
-        run_greedy_episode(&mut env, &mut learner, &mut rng).expect("episode runs");
+        run_greedy_episodes_batch(&mut learner, &mut envs, &mut [rng], &mut BatchInferCtx::new())
+            .expect("episode runs");
         prop_assert_eq!(learner.network().snapshot(), before);
     }
 
@@ -79,15 +81,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pi = Reinforce::gridworld_default(&mut rng).expect("learner");
         let s = Tensor::from_vec(vec![6], vec![0.0, 1.0, -1.0, 0.0, 1.0, -1.0]).expect("state");
+        let mut ctx = BatchInferCtx::new();
         for (i, &r) in rewards.iter().enumerate() {
-            pi.observe(Transition {
+            pi.observe_ctx(Transition {
                 state: s.clone(),
                 action: i % 4,
                 reward: r,
                 next_state: (i + 1 < rewards.len()).then(|| s.clone()),
-            }).expect("observe");
+            }, &mut ctx).expect("observe");
         }
-        pi.end_episode().expect("end episode");
+        pi.end_episode_ctx(&mut ctx).expect("end episode");
         prop_assert!(pi.network().snapshot().iter().all(|w| w.is_finite()));
     }
 
@@ -96,7 +99,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut q = QLearner::gridworld_default(&mut rng).expect("learner");
         let s = Tensor::from_vec(vec![6], vec![0.0; 6]).expect("state");
-        q.observe(Transition { state: s.clone(), action: 0, reward, next_state: Some(s) }).expect("observe");
+        let t = Transition { state: s.clone(), action: 0, reward, next_state: Some(s) };
+        q.observe_ctx(t, &mut BatchInferCtx::new()).expect("observe");
         prop_assert!(q.network().snapshot().iter().all(|w| w.is_finite()));
     }
 

@@ -50,7 +50,7 @@ fn fig3_test_scale_trials_match_pre_fast_path_values_bitwise() {
     for (ci, cell) in cells.iter().enumerate() {
         for r in 0..2u64 {
             let seed = derive_seed(DEFAULT_SEED, ci as u64 * 2 + r);
-            let v = run_grid_trial(cell, seed);
+            let v = run_grid_trial(cell, seed).expect("golden trial runs");
             assert_eq!(
                 v.to_bits(),
                 GRID_GOLDEN_BITS[ci * 2 + r as usize],
@@ -67,7 +67,7 @@ fn fig3_test_scale_campaign_statistics_unchanged() {
     // the seed build — this is the campaign-level statistics gate.
     let cells = grid_cells();
     let stats = frlfi::fault::sweep_with_threads(&cells, 2, DEFAULT_SEED, 3, |t, seed| {
-        frlfi::experiments::harness::run_grid_trial(t, seed)
+        frlfi::experiments::harness::run_grid_trial(t, seed).expect("golden trial runs")
     });
     for (ci, s) in stats.iter().enumerate() {
         let golden: Vec<f64> =
@@ -138,11 +138,8 @@ fn run_golden_campaign(scenario: &frlfi_campaign::Scenario, golden: &[[f64; 2]],
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = frlfi_campaign::RunnerConfig {
-        threads: 3,
-        batched: true,
-        ..frlfi_campaign::RunnerConfig::default()
-    };
+    let cfg =
+        frlfi_campaign::RunnerConfig { threads: 3, ..frlfi_campaign::RunnerConfig::default() };
     let out = frlfi_campaign::runner::run(scenario, &dir, &cfg).expect("campaign runs");
     assert!(out.complete());
     // Per-trial values, bit for bit against the pre-batching build.
@@ -153,16 +150,13 @@ fn run_golden_campaign(scenario: &frlfi_campaign::Scenario, golden: &[[f64; 2]],
         let s = stats[cell];
         assert_eq!(s.mean.to_bits(), expect.mean.to_bits(), "cell {cell} mean drifted");
         assert_eq!(s.std.to_bits(), expect.std.to_bits(), "cell {cell} std drifted");
-        let seeds: Vec<u64> =
-            (0..2).map(|r| derive_seed(campaign.master_seed, (cell * 2 + r) as u64)).collect();
-        let values = campaign
-            .run_trials_batched(cell, &seeds, &mut frlfi::nn::BatchInferCtx::new())
-            .expect("golden trials run");
-        for (r, (&v, &g)) in values.iter().zip(reps.iter()).enumerate() {
+        for (r, &g) in reps.iter().enumerate() {
+            let seed = derive_seed(campaign.master_seed, (cell * 2 + r) as u64);
+            let v = campaign.run_trial(cell, seed).expect("golden trial runs");
             assert_eq!(
                 v.to_bits(),
                 g.to_bits(),
-                "cell {cell} repeat {r}: batched trial value {v} drifted from the \
+                "cell {cell} repeat {r}: trial value {v} drifted from the \
                  per-observation seed build ({g})"
             );
         }
@@ -237,16 +231,16 @@ BER    ep4   ep10
 ";
 
 /// Runs one of the builtin drone scenario variants through the
-/// campaign runner the hard way — killed after two trials on the
-/// per-observation path, resumed to completion in `--batched` mode —
-/// and pins every persisted trial value, both evaluation paths and the
-/// rendered summary against the captured golden constants.
+/// campaign runner the hard way — killed after two trials in exclusive
+/// mode, resumed to completion as a shared-queue worker — and pins
+/// every persisted trial value, the trial function and the rendered
+/// summary against the captured golden constants.
 fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
     let scenario = frlfi_campaign::registry::builtin(name, Scale::Smoke).expect("builtin scenario");
     let dir = std::env::temp_dir().join(format!("frlfi-golden-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Leg 1: per-observation mode, killed after 2 of the 4 trials.
+    // Leg 1: exclusive mode, killed after 2 of the 4 trials.
     let first = frlfi_campaign::runner::run(
         &scenario,
         &dir,
@@ -259,17 +253,21 @@ fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
     .expect("first leg runs");
     assert!(!first.complete(), "the interrupt budget must leave work");
 
-    // Leg 2: batched resume to completion — modes mix freely.
+    // Leg 2: a shared-queue worker resumes to completion — the
+    // coordination modes mix freely across sessions.
     let out = frlfi_campaign::runner::run(
         &scenario,
         &dir,
         &frlfi_campaign::RunnerConfig {
             threads: 3,
-            batched: true,
+            coord: frlfi_campaign::CoordMode::Shared(frlfi_campaign::CoordConfig {
+                worker_id: "golden-resume".into(),
+                ..frlfi_campaign::CoordConfig::default()
+            }),
             ..frlfi_campaign::RunnerConfig::default()
         },
     )
-    .expect("batched resume leg runs");
+    .expect("shared resume leg runs");
     assert!(out.complete());
     assert!(out.new_trials < out.total_trials, "resume must skip persisted trials");
 
@@ -285,19 +283,8 @@ fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
             stats[cell].mean
         );
         let seed = derive_seed(campaign.master_seed, (cell * campaign.repeats) as u64);
-        // Per-observation path, bit for bit.
         let v = campaign.run_trial(cell, seed).expect("golden trial runs");
-        assert_eq!(v.to_bits(), bits, "{name} cell {cell}: per-observation value {v} drifted");
-        // Batched path, bit for bit.
-        let batched = campaign
-            .run_trials_batched(cell, &[seed], &mut frlfi::nn::BatchInferCtx::new())
-            .expect("golden trial runs");
-        assert_eq!(
-            batched[0].to_bits(),
-            bits,
-            "{name} cell {cell}: batched value {} drifted",
-            batched[0]
-        );
+        assert_eq!(v.to_bits(), bits, "{name} cell {cell}: trial value {v} drifted");
     }
     let text = std::fs::read_to_string(dir.join("summary.txt")).expect("summary written");
     assert_eq!(text, summary, "{name}: summary.txt drifted from the captured golden");
@@ -316,40 +303,45 @@ fn drone_dropout_campaign_matches_pinned_goldens_across_modes_and_resume() {
 
 #[test]
 fn committed_grid_dropout_smoke_summary_matches_a_fresh_single_process_run() {
-    // tests/data/grid_dropout_smoke_summary.txt is the committed
-    // single-process, single-thread output of the `grid-dropout`
-    // smoke builtin — CI's multiproc-smoke step diffs the summary a
-    // 2-process run (with one worker SIGKILLed mid-flight) produces
-    // against this exact file, so it must stay fresh.
-    let committed = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/grid_dropout_smoke_summary.txt"
-    ))
-    .expect("tests/data/grid_dropout_smoke_summary.txt ships in the repo");
-    let scenario =
-        frlfi_campaign::registry::builtin("grid-dropout", Scale::Smoke).expect("built-in");
-    let dir =
-        std::env::temp_dir().join(format!("frlfi-golden-grid-dropout-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg =
-        frlfi_campaign::RunnerConfig { threads: 1, ..frlfi_campaign::RunnerConfig::default() };
-    let out = frlfi_campaign::runner::run(&scenario, &dir, &cfg).expect("campaign runs");
-    assert!(out.complete());
-    let fresh = std::fs::read_to_string(dir.join("summary.txt")).expect("summary written");
-    assert_eq!(
-        fresh, committed,
-        "grid-dropout smoke drifted from the committed multiproc-smoke golden — \
-         regenerate tests/data/grid_dropout_smoke_summary.txt if the change is intended"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    // Each tests/data/<builtin>_smoke_summary.txt is the committed
+    // single-process, single-thread output of that smoke builtin. CI
+    // diffs the summaries its CLI runs produce against these exact
+    // files — grid-dropout after a 2-process run with one worker
+    // SIGKILLed mid-flight, fig3a and the drone variants after plain
+    // multi-threaded runs — so they must stay fresh.
+    for (builtin, file) in [
+        ("grid-dropout", "grid_dropout_smoke_summary.txt"),
+        ("fig3a", "fig3a_smoke_summary.txt"),
+        ("drone-dynamic", "drone_dynamic_smoke_summary.txt"),
+        ("drone-dropout", "drone_dropout_smoke_summary.txt"),
+    ] {
+        let path = format!("{}/tests/data/{file}", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{path} ships in the repo: {e}"));
+        let scenario = frlfi_campaign::registry::builtin(builtin, Scale::Smoke).expect("built-in");
+        let dir =
+            std::env::temp_dir().join(format!("frlfi-fresh-{builtin}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg =
+            frlfi_campaign::RunnerConfig { threads: 1, ..frlfi_campaign::RunnerConfig::default() };
+        let out = frlfi_campaign::runner::run(&scenario, &dir, &cfg).expect("campaign runs");
+        assert!(out.complete());
+        let fresh = std::fs::read_to_string(dir.join("summary.txt")).expect("summary written");
+        assert_eq!(
+            fresh, committed,
+            "{builtin} smoke drifted from the committed golden — regenerate \
+             tests/data/{file} if the change is intended"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
-// ---- Batched-training gates (PR 8). The constants below pin the
-// ---- post-training weights of one GridWorld and one DroneNav
-// ---- scenario, captured from the sequential reference training path
-// ---- when batched training shipped. Both training modes must
-// ---- reproduce them bit for bit — any kernel change that reorders
-// ---- gradient accumulation trips these before it reaches a campaign.
+// ---- Training gates. The constants below pin the post-training
+// ---- weights of one GridWorld and one DroneNav scenario, captured
+// ---- from the per-observation reference training path when batched
+// ---- training shipped. Training must reproduce them bit for bit —
+// ---- any kernel change that reorders gradient accumulation trips
+// ---- these before it reaches a campaign.
 
 /// FNV-1a over the little-endian bytes of each weight's bit pattern:
 /// stable, dependency-free, and order-sensitive, so a single flipped
@@ -365,73 +357,49 @@ fn weight_digest(weights: &[f32]) -> u64 {
     h
 }
 
-/// Digest of the 3-agent GridWorld fleet after 80 sequential training
-/// episodes (config pinned in the test below).
+/// Digest of the 3-agent GridWorld fleet after 80 training episodes
+/// (config pinned in the test below).
 const GRID_TRAINED_WEIGHTS_DIGEST: u64 = 0x7680dc8f5fcc8f03;
 
-/// Digest of the 2-drone DroneNav fleet after pretrain + 6 sequential
-/// fine-tuning episodes (config pinned in the test below).
+/// Digest of the 2-drone DroneNav fleet after pretrain + 6 fine-tuning
+/// episodes (config pinned in the test below).
 const DRONE_TRAINED_WEIGHTS_DIGEST: u64 = 0x59eb7b72422c53a4;
 
 #[test]
-fn grid_training_weights_match_pinned_golden_in_both_modes() {
-    let run = |batched: bool| -> Vec<f32> {
-        let cfg = frlfi::GridSystemConfig {
-            n_agents: 3,
-            seed: 77,
-            epsilon_decay_episodes: 150,
-            ..Default::default()
-        };
-        let mut s = frlfi::GridFrlSystem::new(cfg).expect("system builds");
-        if batched {
-            let mut ctx = frlfi::nn::BatchInferCtx::new();
-            s.train_batched(80, None, None, &mut ctx).expect("batched training runs");
-        } else {
-            s.train(80, None, None).expect("sequential training runs");
-        }
-        use frlfi::rl::Learner as _;
-        (0..s.n_agents()).flat_map(|i| s.agent(i).network().snapshot()).collect()
+fn grid_training_weights_match_pinned_golden() {
+    let cfg = frlfi::GridSystemConfig {
+        n_agents: 3,
+        seed: 77,
+        epsilon_decay_episodes: 150,
+        ..Default::default()
     };
-    let sequential = run(false);
-    let batched = run(true);
-    let seq_bits: Vec<u32> = sequential.iter().map(|w| w.to_bits()).collect();
-    let bat_bits: Vec<u32> = batched.iter().map(|w| w.to_bits()).collect();
-    assert_eq!(seq_bits, bat_bits, "batched grid training drifted from sequential");
+    let mut s = frlfi::GridFrlSystem::new(cfg).expect("system builds");
+    s.train(80, None, None).expect("training runs");
+    use frlfi::rl::Learner as _;
+    let weights: Vec<f32> =
+        (0..s.n_agents()).flat_map(|i| s.agent(i).network().snapshot()).collect();
     assert_eq!(
-        weight_digest(&sequential),
+        weight_digest(&weights),
         GRID_TRAINED_WEIGHTS_DIGEST,
-        "trained grid weights drifted from the pinned sequential golden"
+        "trained grid weights drifted from the pinned golden"
     );
 }
 
 #[test]
-fn drone_training_weights_match_pinned_golden_in_both_modes() {
-    let run = |batched: bool| -> Vec<f32> {
-        let cfg = frlfi::DroneSystemConfig {
-            n_drones: 2,
-            seed: 0xD20E,
-            pretrain_episodes: 10,
-            ..Default::default()
-        };
-        let mut s = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
-        s.pretrain().expect("pretraining runs");
-        if batched {
-            let mut ctx = frlfi::nn::BatchInferCtx::new();
-            s.fine_tune_batched(6, None, None, &mut ctx).expect("batched fine-tuning runs");
-        } else {
-            s.fine_tune(6, None, None).expect("sequential fine-tuning runs");
-        }
-        s.fleet_weights()
+fn drone_training_weights_match_pinned_golden() {
+    let cfg = frlfi::DroneSystemConfig {
+        n_drones: 2,
+        seed: 0xD20E,
+        pretrain_episodes: 10,
+        ..Default::default()
     };
-    let sequential = run(false);
-    let batched = run(true);
-    let seq_bits: Vec<u32> = sequential.iter().map(|w| w.to_bits()).collect();
-    let bat_bits: Vec<u32> = batched.iter().map(|w| w.to_bits()).collect();
-    assert_eq!(seq_bits, bat_bits, "batched drone fine-tuning drifted from sequential");
+    let mut s = frlfi::DroneFrlSystem::new(cfg).expect("system builds");
+    s.pretrain().expect("pretraining runs");
+    s.fine_tune(6, None, None).expect("fine-tuning runs");
     assert_eq!(
-        weight_digest(&sequential),
+        weight_digest(&s.fleet_weights()),
         DRONE_TRAINED_WEIGHTS_DIGEST,
-        "fine-tuned drone weights drifted from the pinned sequential golden"
+        "fine-tuned drone weights drifted from the pinned golden"
     );
 }
 
@@ -446,7 +414,7 @@ fn drone_smoke_trials_match_pre_fast_path_values_bitwise() {
     ));
     for r in 0..2u64 {
         let seed = derive_seed(DEFAULT_SEED ^ 0xD0, r);
-        let v = run_drone_trial(&t, seed);
+        let v = run_drone_trial(&t, seed).expect("golden trial runs");
         assert_eq!(
             v.to_bits(),
             DRONE_GOLDEN_BITS[r as usize],
