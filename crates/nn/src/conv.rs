@@ -620,8 +620,12 @@ impl Layer for Conv2d {
         // The reference backward interleaves gw/gb/dx updates in one
         // nest; splitting them into two passes is safe bitwise because
         // they accumulate into disjoint arrays, so each array's
-        // per-element contribution order is unchanged.
+        // per-element contribution order is unchanged — and the same
+        // split lets an empty `grad_in` (first layer) skip pass 2.
         self.backward_batch_params(input, h, w, oh, ow, batch, grad_out);
+        if grad_in.is_empty() {
+            return Ok(());
+        }
         grad_in[..self.in_c * h * w * batch].fill(0.0);
         if self.k == 3 {
             self.backward_batch_dx_k3(h, w, oh, ow, batch, grad_out, grad_in);

@@ -278,7 +278,10 @@ impl Layer for Dense {
         //     batch-minor arena into a contiguous row (and its `dx`
         //     accumulated in one) so both inner loops are unit-stride
         //     axpys over `in_dim` — the gather/scatter only relocates
-        //     bytes, never reorders an accumulation.
+        //     bytes, never reorders an accumulation;
+        //   * an empty `grad_in` (first layer) skips the `dx` work,
+        //     which never feeds `gw`/`gb`.
+        let want_dx = !grad_in.is_empty();
         self.x_gather.resize(in_dim, 0.0);
         self.dx_gather.resize(in_dim, 0.0);
         let w = self.w.data();
@@ -300,13 +303,17 @@ impl Layer for Dense {
                 for (gv, &xv) in gwrow.iter_mut().zip(xs.iter()) {
                     *gv += d * xv;
                 }
-                let wrow = &w[i * in_dim..(i + 1) * in_dim];
-                for (dv, &wv) in self.dx_gather.iter_mut().zip(wrow.iter()) {
-                    *dv += d * wv;
+                if want_dx {
+                    let wrow = &w[i * in_dim..(i + 1) * in_dim];
+                    for (dv, &wv) in self.dx_gather.iter_mut().zip(wrow.iter()) {
+                        *dv += d * wv;
+                    }
                 }
             }
-            for (j, &dv) in self.dx_gather.iter().enumerate() {
-                grad_in[j * batch + t] = dv;
+            if want_dx {
+                for (j, &dv) in self.dx_gather.iter().enumerate() {
+                    grad_in[j * batch + t] = dv;
+                }
             }
         }
         Ok(())

@@ -21,6 +21,8 @@
 //! accumulators (see [`crate::Layer::forward_batch_into`]). Each
 //! output row stays bit-identical to single-observation inference.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::{Layer, NnError};
 
 /// Shape of an activation flowing through the fast path.
@@ -166,6 +168,21 @@ impl InferCtx {
     }
 }
 
+/// Source of [`BatchInferCtx`] identities, so a [`CachedForward`] taken
+/// on one ctx can never name a forward cached in another.
+static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Names one training forward cached in a [`BatchInferCtx`]: the ctx it
+/// ran on and that ctx's forward generation at the time. Every
+/// [`Network::forward_batch_cached`](crate::Network::forward_batch_cached)
+/// on the ctx starts a new generation, so a stamp stops matching as soon
+/// as anything else overwrites the cached activations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CachedForward {
+    ctx: u64,
+    generation: u64,
+}
+
 /// Per-sample activation hook of the batched fault path: called with
 /// `(sample_index, activation_row)` for every freshly produced layer
 /// output row.
@@ -203,7 +220,7 @@ pub(crate) type SampleVisitor<'a> = &'a mut dyn FnMut(usize, &mut [f32]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BatchInferCtx {
     /// Ping-pong batch-minor activation arenas.
     bufs: [Vec<f32>; 2],
@@ -216,13 +233,36 @@ pub struct BatchInferCtx {
     /// holds the input layer `l` consumed — exactly what its
     /// [`Layer::backward_batch_into`] needs — and `acts[layers.len()]`
     /// the final output. Untouched by eval-only [`BatchInferCtx::run`]
-    /// calls, so inference can interleave with a pending backward.
+    /// calls and by backwards, so inference (a TD target, say) can
+    /// interleave with a pending backward, and the cached output stays
+    /// readable through [`BatchInferCtx::cached_output`].
     acts: Vec<Vec<f32>>,
     /// Per-layer activation shapes matching `acts` (`act_shapes[l]` is
     /// layer `l`'s input shape; the last entry the output shape).
     act_shapes: Vec<ActShape>,
-    /// Batch size of the cached training forward; 0 = nothing cached.
+    /// Batch size of the cached training forward; 0 = nothing cached
+    /// (never run, or the last training forward failed).
     cached_batch: usize,
+    /// Process-unique identity of this ctx (see [`CachedForward`]).
+    id: u64,
+    /// Bumped on entry to every training forward, before anything can
+    /// fail, so a [`CachedForward`] taken earlier stops matching.
+    generation: u64,
+}
+
+impl Default for BatchInferCtx {
+    fn default() -> Self {
+        BatchInferCtx {
+            bufs: Default::default(),
+            staging: Vec::new(),
+            row: Vec::new(),
+            acts: Vec::new(),
+            act_shapes: Vec::new(),
+            cached_batch: 0,
+            id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
+            generation: 0,
+        }
+    }
 }
 
 impl BatchInferCtx {
@@ -238,11 +278,42 @@ impl BatchInferCtx {
         BatchInferCtx {
             bufs: [vec![0.0; max_len], vec![0.0; max_len]],
             staging: vec![0.0; max_len],
-            row: Vec::new(),
-            acts: Vec::new(),
-            act_shapes: Vec::new(),
-            cached_batch: 0,
+            ..BatchInferCtx::new()
         }
+    }
+
+    /// The stamp of the training forward whose activations this ctx
+    /// currently holds, or `None` when nothing is cached.
+    pub fn cached_forward(&self) -> Option<CachedForward> {
+        (self.cached_batch > 0)
+            .then_some(CachedForward { ctx: self.id, generation: self.generation })
+    }
+
+    /// The output row of the cached training forward, if `stamp` still
+    /// names it and it was a batch of one over exactly `input` — same
+    /// shape, same bits. A hit means a following
+    /// [`Network::backward_batch`](crate::Network::backward_batch) can
+    /// run on the cached activations without repeating the forward,
+    /// *provided* the caller's weights are the ones that forward ran
+    /// with; the ctx cannot check that, the caller must.
+    pub fn cached_output(
+        &self,
+        stamp: CachedForward,
+        input: &[f32],
+        in_shape: &ActShape,
+    ) -> Option<&[f32]> {
+        let hit = self.cached_forward() == Some(stamp)
+            && self.cached_batch == 1
+            && self.act_shapes[0] == *in_shape
+            && input.len() == in_shape.volume()
+            && self.acts[0][..input.len()]
+                .iter()
+                .zip(input)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        hit.then(|| {
+            let out = self.act_shapes[self.act_shapes.len() - 1].volume();
+            &self.acts[self.acts.len() - 1][..out]
+        })
     }
 
     /// Largest batched activation (`batch × features` elements) the
@@ -392,6 +463,7 @@ impl BatchInferCtx {
         input_shape: ActShape,
         batch: usize,
     ) -> Result<(&'c [f32], ActShape), NnError> {
+        self.generation += 1;
         let in_vol = input_shape.volume();
         if batch == 0 || input.len() != batch * in_vol {
             return Err(NnError::BadDimensions {
@@ -473,7 +545,9 @@ impl BatchInferCtx {
     /// [`Layer::backward_batch_into`] accumulates parameter gradients
     /// (ascending sample order — bitwise what per-sample reference
     /// backward calls leave) and the input gradient ping-pongs through
-    /// the scratch buffers down to the first layer.
+    /// the scratch buffers down to the first layer. Nobody reads the
+    /// gradient with respect to the network input, so the first layer
+    /// gets an empty `grad_in` and skips that work.
     ///
     /// # Errors
     ///
@@ -524,15 +598,16 @@ impl BatchInferCtx {
         for l in (0..n_layers).rev() {
             let in_vol = self.act_shapes[l].volume();
             let g_out_n = self.act_shapes[l + 1].volume() * batch;
+            let g_in_n = if l == 0 { 0 } else { in_vol * batch };
             let dst = 1 - cur;
-            if self.bufs[dst].len() < in_vol * batch {
-                self.bufs[dst].resize(in_vol * batch, 0.0);
+            if self.bufs[dst].len() < g_in_n {
+                self.bufs[dst].resize(g_in_n, 0.0);
             }
             let (a, b) = self.bufs.split_at_mut(1);
             let (g_out, g_in): (&[f32], &mut [f32]) = if cur == 0 {
-                (&a[0][..g_out_n], &mut b[0][..in_vol * batch])
+                (&a[0][..g_out_n], &mut b[0][..g_in_n])
             } else {
-                (&b[0][..g_out_n], &mut a[0][..in_vol * batch])
+                (&b[0][..g_out_n], &mut a[0][..g_in_n])
             };
             layers[l].backward_batch_into(
                 &self.acts[l][..in_vol * batch],

@@ -142,7 +142,10 @@ pub trait Layer: Send {
     /// accumulate into the layer (exactly like repeated
     /// [`Layer::backward`] calls), and the input gradient is written —
     /// fully, no stale bytes survive — into `grad_in`, which the
-    /// caller sizes to `in_shape.volume() * batch`.
+    /// caller sizes to `in_shape.volume() * batch`. An **empty**
+    /// `grad_in` means the input gradient is not wanted (the network's
+    /// first layer): the layer then updates only its parameter
+    /// gradients and may skip the input-gradient work entirely.
     ///
     /// Contract: for every parameter-gradient element the batch's
     /// contributions must accumulate in **ascending sample order**,
@@ -184,8 +187,10 @@ pub trait Layer: Send {
             }
             let g = Tensor::from_vec(out_shape.dims().to_vec(), row_g.clone())?;
             let dx = self.backward(&g)?;
-            for (j, &v) in dx.data().iter().enumerate() {
-                grad_in[j * batch + t] = v;
+            if !grad_in.is_empty() {
+                for (j, &v) in dx.data().iter().enumerate() {
+                    grad_in[j * batch + t] = v;
+                }
             }
         }
         Ok(())

@@ -46,6 +46,6 @@ pub use codec::{
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
-pub use infer::{ActShape, BatchInferCtx, InferCtx};
+pub use infer::{ActShape, BatchInferCtx, CachedForward, InferCtx};
 pub use layer::{Layer, LayerKind, ParamSpan};
 pub use network::{Network, NetworkBuilder};

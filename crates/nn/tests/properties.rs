@@ -613,3 +613,51 @@ proptest! {
         prop_assert!(net.backward(&Tensor::full(vec![1], 1.0)).is_err());
     }
 }
+
+/// The accumulated parameter gradients of `net`, read out exactly:
+/// over all-`-0.0` parameters, `apply_grads(-1.0)` leaves `-0.0 + g`,
+/// which is `g` bit for bit (signed zeros included).
+fn take_grads(net: &mut frlfi_nn::Network) -> Vec<u32> {
+    net.restore(&vec![-0.0; net.param_count()]).expect("restore");
+    net.apply_grads(-1.0);
+    net.snapshot().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `backward_batch` hands layer 0 an empty input gradient, so it skips
+/// that work; the parameter gradients must still be exactly what the
+/// reference `Network::backward` (which computes layer 0's `dx`) leaves.
+#[test]
+fn batched_backward_skipping_the_input_gradient_matches_reference_grads() {
+    let mut rng = StdRng::seed_from_u64(0x1A7E);
+    let grid_mlp = NetworkBuilder::new(6).dense(32).relu().dense(32).relu().dense(4);
+    let conv_dense = NetworkBuilder::new_image(1, 9, 16).conv(4, 3).relu().conv(3, 2).dense(5);
+    let cases = [(grid_mlp, vec![6]), (conv_dense, vec![1, 9, 16])];
+    for (builder, dims) in cases {
+        let net = builder.build(&mut rng).expect("net");
+        let shape = ActShape::from_dims(&dims).expect("shape");
+        let vol = shape.volume();
+        for batch in [1usize, 3] {
+            let mut batched = net.clone();
+            let mut reference = net.clone();
+            let inputs: Vec<f32> = (0..batch * vol).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let mut ctx = BatchInferCtx::new();
+            let out_vol =
+                batched.forward_batch_cached(&inputs, &shape, batch, &mut ctx).unwrap().len()
+                    / batch;
+            let grads: Vec<f32> = (0..batch * out_vol)
+                .map(|_| if rng.gen_bool(0.25) { 0.0 } else { rng.gen_range(-1.0f32..1.0) })
+                .collect();
+            batched.backward_batch(&grads, batch, &mut ctx).expect("batched backward");
+            for (x, g) in inputs.chunks_exact(vol).zip(grads.chunks_exact(out_vol)) {
+                reference.forward(&Tensor::from_vec(dims.clone(), x.to_vec()).unwrap()).unwrap();
+                let dx = reference.backward(&Tensor::from_vec(vec![out_vol], g.to_vec()).unwrap());
+                assert_eq!(dx.expect("reference backward").len(), vol);
+            }
+            assert_eq!(
+                take_grads(&mut batched),
+                take_grads(&mut reference),
+                "{dims:?} batch {batch}: parameter gradients drifted from the reference"
+            );
+        }
+    }
+}

@@ -25,7 +25,10 @@ impl EpisodeSummary {
 /// Runs one *training* episode: the learner explores, observes every
 /// transition and receives the episode-end update, with every forward
 /// and backward on `ctx`'s scratch arenas ([`Learner::act_train_ctx`],
-/// [`Learner::observe_ctx`], [`Learner::end_episode_ctx`]).
+/// [`Learner::observe_ctx`], [`Learner::end_episode_ctx`]). Each step
+/// acts and then observes on the same `ctx` with nothing in between
+/// touching it, so a value learner's update can reuse the forward it
+/// acted with (see [`crate::QLearner`]).
 ///
 /// # Errors
 ///

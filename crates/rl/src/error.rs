@@ -16,6 +16,14 @@ pub enum RlError {
     /// episode reaching a terminal outcome (an environment contract
     /// violation).
     EpisodeNotTerminated,
+    /// A transition names an action the policy network has no output
+    /// for.
+    ActionOutOfRange {
+        /// The action the transition carries.
+        action: usize,
+        /// How many actions (Q-values or logits) the network outputs.
+        n_actions: usize,
+    },
 }
 
 impl std::fmt::Display for RlError {
@@ -25,6 +33,9 @@ impl std::fmt::Display for RlError {
             RlError::EpisodeNotTerminated => {
                 write!(f, "batched evaluation finished with a non-terminated episode")
             }
+            RlError::ActionOutOfRange { action, n_actions } => {
+                write!(f, "action {action} is out of range for a policy with {n_actions} actions")
+            }
         }
     }
 }
@@ -33,7 +44,7 @@ impl std::error::Error for RlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RlError::Nn(e) => Some(e),
-            RlError::EpisodeNotTerminated => None,
+            RlError::EpisodeNotTerminated | RlError::ActionOutOfRange { .. } => None,
         }
     }
 }

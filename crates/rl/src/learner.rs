@@ -52,7 +52,9 @@ pub trait Learner: Send {
     }
 
     /// Selects an action during training (exploration allowed), with
-    /// the policy forward on `ctx`'s batched-inference scratch arena.
+    /// the policy forward on `ctx`'s scratch arenas. A learner may leave
+    /// that forward cached in `ctx` for a following
+    /// [`Learner::observe_ctx`] on the same state to reuse.
     ///
     /// # Errors
     ///

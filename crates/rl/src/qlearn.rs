@@ -1,5 +1,7 @@
 use crate::{eps_greedy_slice, greedy_argmax, EpsilonSchedule, Learner, RlError, Transition};
-use frlfi_nn::{ActShape, BatchInferCtx, InferCtx, Network, NetworkBuilder, NnError};
+use frlfi_nn::{
+    ActShape, BatchInferCtx, CachedForward, InferCtx, Network, NetworkBuilder, NnError,
+};
 use frlfi_tensor::Tensor;
 use rand::{Rng, RngCore};
 
@@ -30,14 +32,18 @@ pub struct QLearner {
     lr: f32,
     schedule: EpsilonSchedule,
     episode: usize,
-    /// Scratch output-gradient row for the batched-training fast path.
+    /// Scratch output-gradient row for the TD backward.
     grad: Vec<f32>,
+    /// The training forward [`Learner::act_train_ctx`] left cached, with
+    /// the weights as they are now; cleared by anything that can change
+    /// the weights (see `learn_one`).
+    acted: Option<CachedForward>,
 }
 
 impl QLearner {
     /// Creates a learner around an existing Q-network.
     pub fn new(net: Network, gamma: f32, lr: f32, schedule: EpsilonSchedule) -> Self {
-        QLearner { net, gamma, lr, schedule, episode: 0, grad: Vec::new() }
+        QLearner { net, gamma, lr, schedule, episode: 0, grad: Vec::new(), acted: None }
     }
 
     /// The standard GridWorld configuration: MLP 6→32→32→4, γ = 0.9,
@@ -66,20 +72,30 @@ impl QLearner {
         self.schedule.epsilon(self.episode)
     }
 
-    /// One TD update toward the one-step target: the TD target's
-    /// next-state forward runs through the arena kernels (no gradients
-    /// flow through it), and the current-state forward is cached in
-    /// `ctx` so the backward runs the batched kernels at batch 1 —
-    /// which route through the reference kernels, so the updated
-    /// weights are **bit-identical** to a single-sample
-    /// `Network::forward`/`backward` update.
+    /// One TD update toward the one-step target. The target's
+    /// next-state forward runs on `ctx`'s eval arenas (no gradients flow
+    /// through it), and the backward runs on the current-state training
+    /// forward cached in `ctx`. Usually that forward is the one
+    /// [`Learner::act_train_ctx`] just ran to pick `t.action`, and it is
+    /// reused rather than repeated — but only while `ctx` still holds
+    /// exactly that forward (its [`CachedForward`] stamp matches, so no
+    /// other training forward ran since), over exactly `t.state`, bit
+    /// for bit, and the weights have not changed since (the stamp is
+    /// consumed here and dropped by [`Learner::network_mut`]).
+    /// Otherwise the forward runs here. Either way the backward sees the
+    /// same activations, so the updated weights are **bit-identical** to
+    /// a single-sample `Network::forward`/`backward` update.
     ///
-    /// The two forwards are deliberately *not* fused into one batch of
-    /// two: a fused backward would feed the bias-gradient accumulator an
-    /// extra `+0.0` for the next-state row (the reference kernels run a
-    /// single backward), which is not bitwise-neutral for -0.0/NaN
-    /// payloads.
+    /// The target and current-state forwards are deliberately *not*
+    /// fused into one batch of two: a fused backward would feed the
+    /// bias-gradient accumulator an extra `+0.0` for the next-state row
+    /// (the reference kernels run a single backward), which is not
+    /// bitwise-neutral for -0.0/NaN payloads.
+    ///
+    /// An action outside the Q-value row is rejected before the
+    /// backward, leaving the weights untouched.
     fn learn_one(&mut self, t: &Transition, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
+        let acted = self.acted.take();
         let target = match &t.next_state {
             Some(ns) => {
                 let shape = ActShape::from_dims(ns.shape().dims())?;
@@ -95,9 +111,13 @@ impl QLearner {
             None => t.reward,
         };
         let shape = ActShape::from_dims(t.state.shape().dims())?;
-        let (q_a, n) = {
-            let q = self.net.forward_batch_cached(t.state.data(), &shape, 1, ctx)?;
-            (q[t.action], q.len())
+        let q_row = |q: &[f32]| match q.get(t.action) {
+            Some(&q_a) => Ok((q_a, q.len())),
+            None => Err(RlError::ActionOutOfRange { action: t.action, n_actions: q.len() }),
+        };
+        let (q_a, n) = match acted.and_then(|a| ctx.cached_output(a, t.state.data(), &shape)) {
+            Some(q) => q_row(q)?,
+            None => q_row(self.net.forward_batch_cached(t.state.data(), &shape, 1, ctx)?)?,
         };
         self.grad.clear();
         self.grad.resize(n, 0.0);
@@ -110,19 +130,20 @@ impl QLearner {
         Ok(())
     }
 
-    /// Runs a run of TD updates through the batched-training scratch
-    /// arena. TD learning is online — each update sees the weights the
+    /// Runs a run of TD updates on `ctx`'s allocation-free arena
+    /// kernels. TD learning is online — each update sees the weights the
     /// previous one produced — so transitions are processed strictly in
-    /// order; the batching win here is routing every forward/backward
-    /// through the allocation-free arena kernels. Weights after the
-    /// call are **bit-identical** to calling [`Learner::observe_ctx`]
-    /// on each transition in order.
+    /// order, one target forward plus one current-state forward and
+    /// backward each; only the first can reuse the forward a preceding
+    /// [`Learner::act_train_ctx`] cached (see `learn_one`). Weights
+    /// after the call are **bit-identical** to calling
+    /// [`Learner::observe_ctx`] on each transition in order.
     ///
     /// # Errors
     ///
     /// Returns an error if a transition's observations do not fit the
-    /// policy network; transitions before the failing one have already
-    /// been applied.
+    /// policy network or its action is out of range; transitions before
+    /// the failing one have already been applied.
     pub fn learn_batch(
         &mut self,
         transitions: &[Transition],
@@ -152,9 +173,14 @@ impl Learner for QLearner {
         rng: &mut dyn RngCore,
         ctx: &mut BatchInferCtx,
     ) -> Result<usize, RlError> {
+        // A *training* forward, so the activations stay cached in `ctx`
+        // and the TD update on this state can skip its own forward.
+        self.acted = None;
         let shape = ActShape::from_dims(state.shape().dims())?;
-        let q = self.net.infer_batch(state.data(), &shape, 1, ctx)?;
-        Ok(eps_greedy_slice(q, self.schedule.epsilon(self.episode), rng))
+        let q = self.net.forward_batch_cached(state.data(), &shape, 1, ctx)?;
+        let action = eps_greedy_slice(q, self.schedule.epsilon(self.episode), rng);
+        self.acted = ctx.cached_forward();
+        Ok(action)
     }
 
     fn act_greedy_batch(
@@ -191,6 +217,9 @@ impl Learner for QLearner {
     }
 
     fn network_mut(&mut self) -> &mut Network {
+        // The caller may rewrite the weights: the cached acting forward
+        // no longer describes them.
+        self.acted = None;
         &mut self.net
     }
 }

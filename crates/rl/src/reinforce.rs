@@ -111,8 +111,9 @@ impl Reinforce {
     /// # Errors
     ///
     /// Returns an error if a buffered observation does not fit the
-    /// policy network; the episode buffer is left intact so the caller
-    /// can inspect it.
+    /// policy network or a kept step's action has no logit; the weights
+    /// and the episode buffer are left intact so the caller can inspect
+    /// it.
     pub fn learn_batch(&mut self, ctx: &mut BatchInferCtx) -> Result<(), RlError> {
         if self.episode_buf.is_empty() {
             self.episode += 1;
@@ -160,12 +161,16 @@ impl Reinforce {
             for (s, &(i, advantage)) in kept.iter().enumerate() {
                 // ∇_logits −log π(a) · A = (π − one_hot(a)) · A, with
                 // the bit-exact softmax replay per row.
+                let action = self.episode_buf[i].action;
+                if action >= n {
+                    return Err(RlError::ActionOutOfRange { action, n_actions: n });
+                }
                 softmax_into(&logits[s * n..(s + 1) * n], &mut self.probs_scratch);
                 let grow = &mut grads[s * n..(s + 1) * n];
                 for (gj, &p) in grow.iter_mut().zip(self.probs_scratch.iter()) {
                     *gj = p * advantage;
                 }
-                grow[self.episode_buf[i].action] -= advantage;
+                grow[action] -= advantage;
             }
             self.net.backward_batch(&grads, batch, ctx)?;
         }

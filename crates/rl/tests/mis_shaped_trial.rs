@@ -142,3 +142,30 @@ fn mis_shaped_trial_leaves_learner_weights_untouched() {
     assert!(run_episode(&mut env, &mut q, &mut rng, &mut BatchInferCtx::new()).is_err());
     assert_eq!(q.network().snapshot(), before, "failed episode must not step the weights");
 }
+
+#[test]
+fn out_of_range_action_is_a_typed_error_with_weights_untouched() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut q = QLearner::gridworld_default(&mut rng).expect("learner");
+    let mut pi = Reinforce::gridworld_default(&mut rng).expect("learner");
+    let s = Tensor::zeros(vec![6]);
+    let mut ctx = BatchInferCtx::new();
+    let expect_range_error = |result: Result<(), RlError>, path: &str| match result {
+        Err(RlError::ActionOutOfRange { action: 4, n_actions: 4 }) => {}
+        other => panic!("{path}: action 4 of 4 must yield ActionOutOfRange, got {other:?}"),
+    };
+
+    // Both with and without a reusable acting forward in the ctx.
+    let before = q.network().snapshot();
+    let t = Transition { state: s.clone(), action: 4, reward: 1.0, next_state: Some(s.clone()) };
+    expect_range_error(q.observe_ctx(t.clone(), &mut ctx), "QLearner::observe_ctx");
+    q.act_train_ctx(&s, &mut rng, &mut ctx).expect("act");
+    expect_range_error(q.learn_batch(&[t], &mut ctx), "QLearner::learn_batch after act");
+    assert_eq!(q.network().snapshot(), before, "rejected TD update must not step the weights");
+
+    let before = pi.network().snapshot();
+    pi.observe_ctx(Transition { state: s, action: 4, reward: 1.0, next_state: None }, &mut ctx)
+        .expect("buffering alone does not touch the network");
+    expect_range_error(pi.end_episode_ctx(&mut ctx), "Reinforce::end_episode_ctx");
+    assert_eq!(pi.network().snapshot(), before, "rejected episode must not step the weights");
+}
