@@ -297,6 +297,17 @@ mod tests {
                 let s = e.scenario(scale);
                 let c = s.expand().unwrap_or_else(|err| panic!("{} @ {scale:?}: {err}", e.name));
                 assert!(!c.trials.is_empty());
+                // Every training fault fires within its trial.
+                let reached = match &c.trials {
+                    crate::spec::Trials::Grid(t) => {
+                        t.iter().all(|t| t.fault.is_none_or(|f| f.episode < t.total_episodes))
+                    }
+                    crate::spec::Trials::Drone(t) => {
+                        t.iter().all(|t| t.fault.is_none_or(|f| f.episode < t.fine_tune_episodes))
+                    }
+                    crate::spec::Trials::Study(_) => true,
+                };
+                assert!(reached, "{} @ {scale:?}: a fault lies past the training", e.name);
                 assert_eq!(c.grid.cell_count(), c.trials.len(), "{}", e.name);
                 assert_eq!(s.system, e.system, "{}: entry system must match the scenario", e.name);
             }

@@ -39,6 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use frlfi::experiments::harness::GridPrefix;
 use frlfi::report::Table;
 use frlfi_fault::{aggregate_in_order, CellStats};
 use serde::{Map, Value};
@@ -665,6 +666,9 @@ fn run_exclusive(
                 let (cursor, pending, study) = (&cursor, &pending, &study);
                 let (commit, quarantine_trial) = (&commit, &quarantine_trial);
                 scope.spawn(move || {
+                    // This worker's clean-training-prefix cache, for this
+                    // run only (see `Campaign::run_trial`).
+                    let mut prefix = GridPrefix::default();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&(cell, rep)) = pending.get(i) else { break };
@@ -676,7 +680,7 @@ fn run_exclusive(
                         let _trial = frlfi_obs::span_trial("trial", flat as u64);
                         let value = match (study, ctx.as_mut()) {
                             (Some((g, _)), Some(ctx)) => g.eval_cell(ctx, cell, seed),
-                            _ => campaign.run_trial(cell, seed),
+                            _ => campaign.run_trial(cell, seed, &mut prefix),
                         };
                         match value {
                             Ok(value) => {
@@ -1106,6 +1110,9 @@ fn run_shared(
             scope.spawn(move || {
                 let study = campaign.study();
                 let mut study_ctx: Option<frlfi::experiments::study::StudyCtx> = None;
+                // This worker's clean-training-prefix cache, for this run
+                // only (see `Campaign::run_trial`).
+                let mut prefix = GridPrefix::default();
                 // Stagger each claimer's scan start so workers spread
                 // over the queue instead of racing for trial 0 (any
                 // claim order is correct; this only reduces contention).
@@ -1271,7 +1278,7 @@ fn run_shared(
                     let _trial = frlfi_obs::span_trial("trial", trial as u64);
                     let value = match (study, study_ctx.as_mut()) {
                         (Some(g), Some(ctx)) => g.eval_cell(ctx, cell, seed),
-                        _ => campaign.run_trial(cell, seed),
+                        _ => campaign.run_trial(cell, seed, &mut prefix),
                     };
                     let value = match value {
                         Ok(v) => v,

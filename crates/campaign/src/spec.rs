@@ -8,7 +8,7 @@
 //! exactly the trial cells its `frlfi::experiments` driver runs.
 
 use frlfi::experiments::harness::{
-    drone_geometry, grid_geometry, DroneTrial, GridTrial, PretrainedWeights, TrialFault,
+    drone_geometry, grid_geometry, DroneTrial, GridPrefix, GridTrial, PretrainedWeights, TrialFault,
 };
 use frlfi::experiments::study::{StudyGeometry, StudyKind};
 use frlfi::experiments::{DEFAULT_SEED, SYSTEM_SEED};
@@ -567,6 +567,7 @@ impl Scenario {
 
         let (grid_kind, trials): (CellGrid, Vec<GridTrial>) = if self.fleet.agents_sweep.is_empty()
         {
+            check_inject_episodes(&inject_episodes, total_episodes, "train.total_episodes")?;
             let trials = bers
                 .iter()
                 .flat_map(|&ber| inject_episodes.iter().map(move |&ep| (ber, ep)))
@@ -663,6 +664,11 @@ impl Scenario {
 
         let (grid_kind, trials): (CellGrid, Vec<DroneTrial>) = if self.fleet.agents_sweep.is_empty()
         {
+            check_inject_episodes(
+                &inject_episodes,
+                fine_tune,
+                "fine-tune episodes (train.total_episodes)",
+            )?;
             let trials = bers
                 .iter()
                 .flat_map(|&ber| inject_episodes.iter().map(move |&ep| (ber, ep)))
@@ -856,7 +862,12 @@ impl Campaign {
         }
     }
 
-    /// Evaluates one trial: pure in `(cell, seed)`.
+    /// Evaluates one trial: pure in `(cell, seed)`. GridWorld trials
+    /// resume from the clean training prefix `prefix` holds where they
+    /// can, and leave theirs in it (see
+    /// [`frlfi::experiments::harness::GridPrefix`]); a worker passes the
+    /// same cache to every trial it runs in one campaign, other callers
+    /// a fresh one. DroneNav trials ignore it.
     ///
     /// # Errors
     ///
@@ -867,9 +878,14 @@ impl Campaign {
     /// # Panics
     ///
     /// Panics if `cell` is out of range.
-    pub fn run_trial(&self, cell: usize, seed: u64) -> Result<f64, frlfi::FrlfiError> {
+    pub fn run_trial(
+        &self,
+        cell: usize,
+        seed: u64,
+        prefix: &mut GridPrefix,
+    ) -> Result<f64, frlfi::FrlfiError> {
         match &self.trials {
-            Trials::Grid(t) => frlfi::experiments::harness::run_grid_trial(&t[cell], seed),
+            Trials::Grid(t) => frlfi::experiments::harness::run_grid_trial(&t[cell], seed, prefix),
             Trials::Drone(t) => frlfi::experiments::harness::run_drone_trial(&t[cell], seed),
             Trials::Study(g) => Err(frlfi::FrlfiError::BadConfig {
                 detail: format!(
@@ -879,6 +895,19 @@ impl Campaign {
                 ),
             }),
         }
+    }
+}
+
+/// Rejects an injection episode the training never reaches: the cell
+/// would expand to trials whose fault never fires, labelled as if it
+/// had.
+fn check_inject_episodes(episodes: &[usize], length: usize, what: &str) -> Result<(), SpecError> {
+    match episodes.iter().find(|&&ep| ep >= length) {
+        Some(ep) => Err(SpecError::new(format!(
+            "fault.inject_episodes entry {ep} is never reached: {what} = {length}, so entries \
+             must lie in 0..{length}"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -932,6 +961,41 @@ mod tests {
         let mut s = Scenario::new("edge", SystemKind::GridWorld, Scale::Smoke);
         s.fleet.dropout = Some(0.999_999_999);
         assert!(s.expand().unwrap_err().to_string().contains("dropout"));
+    }
+
+    #[test]
+    fn inject_episodes_past_the_training_length_fail_at_expansion() {
+        // An entry at or past the training length would expand to
+        // cells whose fault never fires, labelled `ep<entry>`.
+        let cases = [
+            (
+                SystemKind::GridWorld,
+                grid_geometry(Scale::Smoke).total_episodes,
+                "train.total_episodes",
+            ),
+            (
+                SystemKind::DroneNav,
+                drone_geometry(Scale::Smoke).fine_tune_episodes,
+                "fine-tune episodes",
+            ),
+        ];
+        for (system, length, knob) in cases {
+            let mut s = Scenario::new("late", system, Scale::Smoke);
+            s.fault.inject_episodes = vec![0, length - 1];
+            s.expand().unwrap_or_else(|e| panic!("{system:?}: the last episode is valid: {e}"));
+            for bad in [length, 5000] {
+                s.fault.inject_episodes = vec![1, bad];
+                let err = s.expand().expect_err("an unreachable episode must be rejected");
+                let err = err.to_string();
+                assert!(err.contains(&format!("entry {bad}")), "{system:?}: {err}");
+                assert!(err.contains(knob), "{system:?}: {err}");
+                assert!(err.contains(&format!("= {length}")), "{system:?}: {err}");
+            }
+            // The limit follows an overridden training length too.
+            s.train.total_episodes = Some(length + 10);
+            s.fault.inject_episodes = vec![length + 9];
+            s.expand().unwrap_or_else(|e| panic!("{system:?}: {e}"));
+        }
     }
 
     #[test]
@@ -1089,7 +1153,8 @@ mod tests {
     #[test]
     fn study_trials_reject_the_train_per_trial_path_with_a_typed_error() {
         let c = Scenario::study("fig4", StudySpec::Fig4, Scale::Smoke).expand().expect("expands");
-        let err = c.run_trial(0, c.trial_seed(0)).unwrap_err().to_string();
+        let err =
+            c.run_trial(0, c.trial_seed(0), &mut GridPrefix::default()).unwrap_err().to_string();
         assert!(err.contains("eval_cell"), "{err}");
     }
 

@@ -132,6 +132,12 @@ fn obs_enabled_run_is_byte_identical_and_its_stream_parses_strictly() {
     assert!(w.timers["io"].0 >= 12, "every commit times its append");
     assert!(w.counters["nn.dispatch.reference"] > 0, "grid eval dispatches reference kernels");
     assert!(w.trial_us() >= w.spans["train"].1, "trial spans cover training");
+    // One worker's prefix cache across the cells in order: the first
+    // BER-0 trial trains all 300 episodes and the other three resume at
+    // the end; the first BER-0.1 trial restarts (the cache is past its
+    // episode 100) and the other seven resume at episode 100.
+    assert_eq!(w.counters["train.episodes.run"], 300 + 300 + 7 * 200, "{:?}", w.counters);
+    assert_eq!(w.counters["train.episodes.reused"], 3 * 300 + 7 * 100, "{:?}", w.counters);
 
     std::fs::remove_dir_all(&ref_dir).ok();
     std::fs::remove_dir_all(&dir).ok();

@@ -10,7 +10,8 @@
 //! reproduces these tables exactly.
 
 use crate::experiments::harness::{
-    self, ber_episode_grid, grid_geometry, heatmap_table, GridMetric, GridTrial, TrialFault,
+    self, ber_episode_grid, grid_geometry, heatmap_table, GridMetric, GridPrefix, GridTrial,
+    TrialFault,
 };
 use crate::experiments::{ber_label, DEFAULT_SEED, SYSTEM_SEED};
 use crate::report::Table;
@@ -40,7 +41,8 @@ fn heatmap(scale: Scale, side: Option<FaultSide>, title: &str) -> Table {
     let g = grid_geometry(scale);
     let cells = heatmap_cells(scale, side);
     let stats = sweep(&cells, g.repeats, DEFAULT_SEED, |t, s| {
-        harness::run_grid_trial(t, s).expect("figure cells are valid trials")
+        harness::run_grid_trial(t, s, &mut GridPrefix::default())
+            .expect("figure cells are valid trials")
     });
     heatmap_table(title, &g.bers, &g.inject_episodes, &stats, 1)
 }
@@ -139,7 +141,8 @@ pub fn convergence(scale: Scale) -> Table {
         })
         .collect();
     let stats = sweep(&cells, g.repeats, DEFAULT_SEED ^ 0x3E, |t, s| {
-        harness::run_grid_trial(t, s).expect("figure cells are valid trials")
+        harness::run_grid_trial(t, s, &mut GridPrefix::default())
+            .expect("figure cells are valid trials")
     });
 
     let mut table = Table::new(

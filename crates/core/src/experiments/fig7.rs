@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use crate::experiments::harness::{
-    self, ber_episode_grid, drone_geometry, heatmap_table, DroneTrial, GridTrial,
+    self, ber_episode_grid, drone_geometry, heatmap_table, DroneTrial, GridPrefix, GridTrial,
     PretrainedWeights, TrialFault,
 };
 use crate::experiments::DEFAULT_SEED;
@@ -57,7 +57,8 @@ pub fn gridworld(scale: Scale) -> Table {
     let (bers, inject_eps, _, _, repeats) = fig7a_geometry(scale);
     let cells = gridworld_cells(scale);
     let stats = sweep(&cells, repeats, DEFAULT_SEED ^ 0x7A, |t, s| {
-        harness::run_grid_trial(t, s).expect("figure cells are valid trials")
+        harness::run_grid_trial(t, s, &mut GridPrefix::default())
+            .expect("figure cells are valid trials")
     });
     heatmap_table(
         "Fig 7a: GridWorld server faults WITH checkpoint mitigation (SR %)",

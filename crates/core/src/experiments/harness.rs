@@ -9,11 +9,17 @@
 //! statistics *exactly*: identical trial spec + identical derived seed
 //! ⇒ identical trial value, and identical aggregation (see
 //! [`frlfi_fault::aggregate_in_order`]) ⇒ identical cell statistics.
+//!
+//! GridWorld trials of one campaign share their fault-free training
+//! prefix bit for bit, so a campaign worker hands every trial the same
+//! [`GridPrefix`] and each trial resumes from the clean state the
+//! previous one left there (see [`train_grid_trial`]).
 
 use std::sync::Arc;
 
 use crate::error::FrlfiError;
 use crate::experiments::{ber_label, SYSTEM_SEED};
+use crate::grid_system::GridTraining;
 use crate::report::Table;
 use crate::{
     DroneFrlSystem, DroneLayout, DroneSystemConfig, GridFrlSystem, GridLayout, GridSystemConfig,
@@ -280,37 +286,125 @@ impl GridTrial {
     }
 }
 
+/// One worker's cache of the fault-free training prefix its GridWorld
+/// trials share.
+///
+/// Every trial of a training-fault campaign builds its system from the
+/// same configuration, and its seed only reseeds the fault stream, so
+/// episodes `[0, e)` of a trial injecting at episode `e` are the same
+/// clean training in every trial with that configuration, bit for bit.
+/// The cache keeps **one** such clean state — the most recent — keyed
+/// by the trial with its fault and metric cleared, and
+/// [`train_grid_trial`] resumes from it instead of training from
+/// episode 0 whenever the key matches and the cached state lies at or
+/// before the trial's injection episode.
+///
+/// A cache belongs to one worker and one run: the campaign runner
+/// creates one per worker thread and drops it when the run ends. Its
+/// cost is one extra trained system (the fleet's weights, environments,
+/// random streams and mitigation state; well under 1 MB at Bench
+/// scale). A fresh [`GridPrefix::default`] trains every trial from
+/// scratch, through the same code — what the sweep-driven figure
+/// drivers do, since their thread pool keeps no per-worker state.
+#[derive(Default)]
+pub struct GridPrefix {
+    cached: Option<(GridTrial, GridFrlSystem, GridTraining)>,
+}
+
+impl GridPrefix {
+    /// Takes the cached state out if it belongs to `key` and has not
+    /// trained past episode `at`.
+    fn take(&mut self, key: &GridTrial, at: usize) -> Option<(GridFrlSystem, GridTraining)> {
+        match self.cached.take() {
+            Some((k, sys, run)) if k == *key && run.episode() <= at => Some((sys, run)),
+            other => {
+                self.cached = other;
+                None
+            }
+        }
+    }
+}
+
+/// Trains one GridWorld trial's system: built (or resumed from
+/// `prefix`), fault-injected and trained, ready for evaluation. Pure in
+/// `(trial, seed)` whatever `prefix` holds: a resumed trial reseeds the
+/// fault stream with `seed` and replays the draws the clean prefix
+/// took from it, so its weights are bit-identical to training from
+/// episode 0. On return `prefix` holds the clean state at the start of
+/// the trial's injection episode (the end of training for a trial that
+/// injects nothing).
+///
+/// # Errors
+///
+/// As for [`run_grid_trial`].
+pub fn train_grid_trial(
+    t: &GridTrial,
+    seed: u64,
+    prefix: &mut GridPrefix,
+) -> Result<GridFrlSystem, FrlfiError> {
+    let plan = t.fault.as_ref().and_then(TrialFault::plan);
+    // The injection fires after the agent episodes of loop iteration
+    // `p.episode`, so the clean prefix ends at that iteration's start.
+    let clean_until = plan.map_or(t.total_episodes, |p| p.episode.min(t.total_episodes));
+    let key = GridTrial { fault: None, metric: GridMetric::SuccessRatePct, ..t.clone() };
+    let (mut sys, mut run) = match prefix.take(&key, clean_until) {
+        Some(state) => state,
+        None => {
+            let mut sys = GridFrlSystem::new(GridSystemConfig {
+                n_agents: t.n_agents,
+                seed: t.system_seed,
+                epsilon_decay_episodes: t.total_episodes / 2,
+                layout: t.layout,
+                dropout: t.dropout,
+                ..Default::default()
+            })?;
+            let run = sys.start_training(t.mitigation.as_ref());
+            (sys, run)
+        }
+    };
+    let reused = run.episode();
+    sys.replay_fault_stream(seed);
+    sys.train_until(&mut run, clean_until, None)?;
+    prefix.cached = Some((key, sys.clone(), run.clone()));
+    sys.train_until(&mut run, t.total_episodes, plan.as_ref())?;
+    // Observability only: how much of the trial's training the prefix
+    // saved, which explains its (now bimodal) train time.
+    frlfi_obs::count("train.episodes.reused", reused as u64);
+    frlfi_obs::count("train.episodes.run", (t.total_episodes - reused) as u64);
+    Ok(sys)
+}
+
 /// Evaluates one GridWorld trial: a pure function of `(trial, seed)`,
-/// safe to fan out over threads. The system is built, fault-injected
-/// and trained, then drops its layer caches
-/// ([`GridFrlSystem::eval_mode`]) for the greedy evaluation.
+/// safe to fan out over threads, with the system trained by
+/// [`train_grid_trial`] (resuming from `prefix` where it can), then
+/// stripped of its layer caches ([`GridFrlSystem::eval_mode`]) for the
+/// greedy evaluation. Callers without a worker-long cache pass a fresh
+/// [`GridPrefix::default`].
 ///
 /// # Errors
 ///
 /// Returns an error on an invalid trial configuration or a training
 /// failure (e.g. a mis-shaped observation), so a campaign can
 /// quarantine the trial instead of panicking in a worker.
-pub fn run_grid_trial(t: &GridTrial, seed: u64) -> Result<f64, FrlfiError> {
+pub fn run_grid_trial(
+    t: &GridTrial,
+    seed: u64,
+    prefix: &mut GridPrefix,
+) -> Result<f64, FrlfiError> {
     let mut sys = {
         // Observability only — the span reads the clock around
         // training, it cannot affect any trained value.
         let _train = frlfi_obs::span("train");
-        let cfg = GridSystemConfig {
-            n_agents: t.n_agents,
-            seed: t.system_seed,
-            epsilon_decay_episodes: t.total_episodes / 2,
-            layout: t.layout,
-            dropout: t.dropout,
-            ..Default::default()
-        };
-        let mut sys = GridFrlSystem::new(cfg)?;
-        sys.reseed_faults(seed);
-        let plan = t.fault.as_ref().and_then(TrialFault::plan);
-        sys.train(t.total_episodes, plan.as_ref(), t.mitigation.as_ref())?;
+        let mut sys = train_grid_trial(t, seed, prefix)?;
         sys.eval_mode();
         sys
     };
     let _eval = frlfi_obs::span("eval");
+    evaluate_grid_trial(t, &mut sys)
+}
+
+/// The reported metric of a trained trial system.
+fn evaluate_grid_trial(t: &GridTrial, sys: &mut GridFrlSystem) -> Result<f64, FrlfiError> {
     Ok(match t.metric {
         GridMetric::SuccessRatePct => sys.success_rate() * 100.0,
         GridMetric::EpisodesToConverge { threshold, check_every, max_extra } => {
@@ -554,6 +648,7 @@ mod tests {
     use super::*;
     use crate::experiments::DEFAULT_SEED;
     use frlfi_fault::sweep_with_threads;
+    use frlfi_rl::Learner as _;
 
     #[test]
     fn grid_trial_is_pure_in_seed() {
@@ -563,8 +658,68 @@ mod tests {
             0.05,
         ));
         assert_eq!(
-            run_grid_trial(&t, 7).unwrap().to_bits(),
-            run_grid_trial(&t, 7).unwrap().to_bits()
+            run_grid_trial(&t, 7, &mut GridPrefix::default()).unwrap().to_bits(),
+            run_grid_trial(&t, 7, &mut GridPrefix::default()).unwrap().to_bits()
+        );
+    }
+
+    /// The trained fleet's weight bits and the trial value's bits.
+    fn trial_bits(t: &GridTrial, seed: u64, prefix: &mut GridPrefix) -> (Vec<u32>, u64) {
+        let mut sys = train_grid_trial(t, seed, prefix).unwrap();
+        let weights = (0..sys.n_agents())
+            .flat_map(|i| sys.agent(i).network().snapshot())
+            .map(f32::to_bits)
+            .collect();
+        sys.eval_mode();
+        (weights, evaluate_grid_trial(t, &mut sys).unwrap().to_bits())
+    }
+
+    #[test]
+    fn warm_prefix_cache_trains_bit_identically_to_a_cold_one() {
+        let mitigation =
+            TrainingMitigation { p_percent: 25.0, k_consecutive: 4, checkpoint_interval: 5 };
+        let (server, agent) = (FaultSide::ServerSide, FaultSide::AgentSide);
+        let dynamic = GridTrial { layout: GridLayout::DynamicObstacles, ..GridTrial::new(3, 100) };
+        let dropout = GridTrial { dropout: Some(0.3), ..GridTrial::new(3, 100) };
+        let configs = [
+            (
+                "server fault + mitigation",
+                GridTrial::new(3, 100).with_mitigation(mitigation),
+                server,
+            ),
+            ("agent fault, dynamic layout", dynamic, agent),
+            ("dropout 0.3, server fault", dropout, server),
+            ("single agent, no server", GridTrial::new(1, 100), agent),
+        ];
+        // (BER, injection episode, cached episode before the trial):
+        // cold start, resume forward, exact hit, fall back to scratch,
+        // then BER-0 trials (clean to the end), forward and hit.
+        let sequence = [
+            (0.2, 40, None),
+            (0.2, 90, Some(40)),
+            (0.2, 90, Some(90)),
+            (0.2, 20, Some(90)),
+            (0.0, 60, Some(20)),
+            (0.0, 60, Some(100)),
+        ];
+        for (name, base, side) in configs {
+            let mut warm = GridPrefix::default();
+            for (i, &(ber, ep, cached)) in sequence.iter().enumerate() {
+                let t = base.clone().with_fault(TrialFault::transient_int8(side, ep, ber));
+                let seed = 0xCAC4E + i as u64;
+                assert_eq!(warm.cached.as_ref().map(|(_, _, run)| run.episode()), cached);
+                let cold = trial_bits(&t, seed, &mut GridPrefix::default());
+                assert!(cold == trial_bits(&t, seed, &mut warm), "{name}, trial {i}: warm ≠ cold");
+            }
+        }
+        // The mitigated configuration must actually exercise recovery,
+        // so its carried detector and checkpoint are load-bearing.
+        let t = GridTrial::new(3, 100)
+            .with_mitigation(mitigation)
+            .with_fault(TrialFault::transient_int8(server, 40, 0.2));
+        let sys = train_grid_trial(&t, 0xCAC4E, &mut GridPrefix::default()).unwrap();
+        assert!(
+            sys.mitigation_stats().server_detections + sys.mitigation_stats().agent_detections > 0
         );
     }
 
@@ -589,14 +744,16 @@ mod tests {
                         .with_fault(TrialFault::transient_int8(FaultSide::AgentSide, 40, ber))
                 })
                 .collect();
-        let stats =
-            sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, |t, s| run_grid_trial(t, s).unwrap());
+        let stats = sweep_with_threads(&cells, 2, DEFAULT_SEED, 2, |t, s| {
+            run_grid_trial(t, s, &mut GridPrefix::default()).unwrap()
+        });
         for (ci, cell) in cells.iter().enumerate() {
             let by_hand: Vec<f64> = (0..2)
                 .map(|r| {
                     run_grid_trial(
                         cell,
                         frlfi_tensor::derive_seed(DEFAULT_SEED, (ci * 2 + r) as u64),
+                        &mut GridPrefix::default(),
                     )
                     .unwrap()
                 })

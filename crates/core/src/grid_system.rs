@@ -21,6 +21,13 @@ use rand::{Rng, SeedableRng};
 /// With `n_agents == 1` the server is disabled, reproducing the paper's
 /// single-agent baseline (Fig. 3c).
 ///
+/// A clone carries the whole training state (weights, environments,
+/// every random stream, server and mitigation counters) and gets its
+/// own empty scratch arena, so clone and original train on
+/// bit-identically; the
+/// campaign harness resumes training-fault trials from a cloned
+/// fault-free prefix ([`crate::experiments::harness::GridPrefix`]).
+///
 /// ```no_run
 /// use frlfi::{GridFrlSystem, GridSystemConfig};
 ///
@@ -38,6 +45,9 @@ pub struct GridFrlSystem {
     envs: Vec<GridWorld>,
     server: Option<Server>,
     rng: StdRng,
+    /// `u64` values drawn from `rng` since it was last seeded (see
+    /// [`GridFrlSystem::replay_fault_stream`]).
+    fault_draws: u64,
     agent_rngs: Vec<StdRng>,
     dropout_rng: StdRng,
     episodes_done: usize,
@@ -48,6 +58,48 @@ pub struct GridFrlSystem {
     /// Scratch arena every training and greedy-evaluation forward and
     /// backward runs through (pure scratch: never part of the result).
     ctx: BatchInferCtx,
+}
+
+impl Clone for GridFrlSystem {
+    fn clone(&self) -> Self {
+        GridFrlSystem {
+            cfg: self.cfg.clone(),
+            agents: self.agents.clone(),
+            envs: self.envs.clone(),
+            server: self.server.clone(),
+            rng: self.rng.clone(),
+            fault_draws: self.fault_draws,
+            agent_rngs: self.agent_rngs.clone(),
+            dropout_rng: self.dropout_rng.clone(),
+            episodes_done: self.episodes_done,
+            comm_rounds: self.comm_rounds,
+            pending_server_fault: self.pending_server_fault,
+            last_records: self.last_records.clone(),
+            mitigation_stats: self.mitigation_stats,
+            ctx: BatchInferCtx::new(),
+        }
+    }
+}
+
+/// The loop state of one [`GridFrlSystem::train`] call, as a value: how
+/// many loop iterations have run, plus the reward-drop detector and
+/// server checkpoint of the mitigation scheme. Cloned together with the
+/// system, it lets a training run stop at an episode boundary and
+/// resume later, bit-identically to running straight through (the
+/// campaign harness resumes trials from a shared fault-free prefix this
+/// way).
+#[derive(Debug, Clone)]
+pub(crate) struct GridTraining {
+    episode: usize,
+    detector: Option<RewardDropDetector>,
+    checkpoint: Option<ServerCheckpoint>,
+}
+
+impl GridTraining {
+    /// Loop iterations (training episodes) this run has completed.
+    pub(crate) fn episode(&self) -> usize {
+        self.episode
+    }
 }
 
 impl GridFrlSystem {
@@ -108,6 +160,7 @@ impl GridFrlSystem {
             agents,
             envs,
             server,
+            fault_draws: 0,
             agent_rngs,
             episodes_done: 0,
             comm_rounds: 0,
@@ -164,6 +217,35 @@ impl GridFrlSystem {
     /// repeats each injection on the same trained system).
     pub fn reseed_faults(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
+        self.fault_draws = 0;
+    }
+
+    /// Reseeds the fault stream with `seed` and advances it past the
+    /// draws training has taken from the old stream, so the system
+    /// continues exactly as if `seed` had been in place since the last
+    /// reseed. Before any injection, training draws from the stream
+    /// only one `u64` per aggregated round (the server-fault hook's
+    /// seed; rounds skipped by dropout draw nothing), and those are
+    /// counted as they happen. The replay is exact only for such a
+    /// fault-free history: an injection draws a data-dependent number
+    /// of values.
+    pub(crate) fn replay_fault_stream(&mut self, seed: u64) {
+        debug_assert!(
+            self.pending_server_fault.is_none() && self.last_records.is_empty(),
+            "the fault stream replays only a fault-free history"
+        );
+        let draws = self.fault_draws;
+        self.reseed_faults(seed);
+        for _ in 0..draws {
+            self.draw_fault_seed();
+        }
+    }
+
+    /// One `u64` from the fault stream, counted for
+    /// [`GridFrlSystem::replay_fault_stream`].
+    fn draw_fault_seed(&mut self) -> u64 {
+        self.fault_draws += 1;
+        self.rng.gen()
     }
 
     /// Detection/recovery counters accumulated by mitigated training
@@ -196,16 +278,48 @@ impl GridFrlSystem {
         plan: Option<&InjectionPlan>,
         mitigation: Option<&TrainingMitigation>,
     ) -> Result<(), FrlfiError> {
-        let mut detector = mitigation
-            .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_agents));
-        let mut checkpoint = mitigation.map(|m| ServerCheckpoint::new(m.checkpoint_interval));
+        let mut run = self.start_training(mitigation);
+        self.train_until(&mut run, episodes, plan)
+    }
+
+    /// Starts a training run under the optional mitigation scheme: a
+    /// fresh reward-drop detector and server checkpoint, and (when
+    /// mitigation is on) zeroed [`MitigationStats`].
+    pub(crate) fn start_training(
+        &mut self,
+        mitigation: Option<&TrainingMitigation>,
+    ) -> GridTraining {
         if mitigation.is_some() {
             self.mitigation_stats = MitigationStats::default();
         }
+        GridTraining {
+            episode: 0,
+            detector: mitigation
+                .map(|m| RewardDropDetector::new(m.p_percent, m.k_consecutive, self.cfg.n_agents)),
+            checkpoint: mitigation.map(|m| ServerCheckpoint::new(m.checkpoint_interval)),
+        }
+    }
 
+    /// Runs the training loop of `run` until it has completed `until`
+    /// episodes (a no-op when it already has). Each loop iteration runs
+    /// every agent's episode, then applies `plan` when its episode
+    /// (relative to the run's start) is this iteration's, then
+    /// communicates on schedule, then feeds the rewards to the
+    /// detector and recovers from the checkpoint on a detection.
+    ///
+    /// # Errors
+    ///
+    /// Propagates training, aggregation or restore failures; the
+    /// iterations before the failing one stay applied.
+    pub(crate) fn train_until(
+        &mut self,
+        run: &mut GridTraining,
+        until: usize,
+        plan: Option<&InjectionPlan>,
+    ) -> Result<(), FrlfiError> {
         let schedule = self.cfg.comm_schedule();
-        for ep in 0..episodes {
-            let global_ep = self.episodes_done + ep;
+        while run.episode < until {
+            let (ep, global_ep) = (run.episode, self.episodes_done);
             let mut rewards = Vec::with_capacity(self.cfg.n_agents);
             for i in 0..self.cfg.n_agents {
                 self.agents[i].set_episode(global_ep);
@@ -226,13 +340,13 @@ impl GridFrlSystem {
 
             if self.server.is_some() && schedule.communicates_at(global_ep) {
                 self.communicate()?;
-                if let Some(cp) = checkpoint.as_mut() {
+                if let Some(cp) = run.checkpoint.as_mut() {
                     let server = self.server.as_ref().expect("server present");
                     cp.on_round(self.comm_rounds, server.consensus());
                 }
             }
 
-            if let (Some(det), Some(cp)) = (detector.as_mut(), checkpoint.as_ref()) {
+            if let (Some(det), Some(cp)) = (run.detector.as_mut(), run.checkpoint.as_ref()) {
                 match det.observe(&rewards) {
                     Detection::None => {}
                     Detection::AgentFault(ids) => {
@@ -247,8 +361,9 @@ impl GridFrlSystem {
                     }
                 }
             }
+            run.episode += 1;
+            self.episodes_done += 1;
         }
-        self.episodes_done += episodes;
         Ok(())
     }
 
@@ -322,15 +437,14 @@ impl GridFrlSystem {
             }
         }
 
+        let mut hook = ServerFaultHook {
+            plan: self.pending_server_fault.take(),
+            rng: StdRng::seed_from_u64(self.draw_fault_seed()),
+            records: Vec::new(),
+        };
         let server = self.server.as_mut().expect("communicate requires a server");
         let mut uploads: Vec<Vec<f32>> =
             self.agents.iter().map(|a| a.network().snapshot()).collect();
-
-        let mut hook = ServerFaultHook {
-            plan: self.pending_server_fault.take(),
-            rng: StdRng::seed_from_u64(self.rng.gen()),
-            records: Vec::new(),
-        };
         match participants {
             None => {
                 let outputs = server.aggregate_with_hook(&mut uploads, &mut hook)?;

@@ -8,8 +8,8 @@
 //! change that reorders floating-point accumulation will trip them.
 
 use frlfi::experiments::harness::{
-    drone_geometry, run_drone_trial, run_grid_trial, DroneTrial, GridTrial, PretrainedWeights,
-    TrialFault,
+    drone_geometry, run_drone_trial, run_grid_trial, DroneTrial, GridPrefix, GridTrial,
+    PretrainedWeights, TrialFault,
 };
 use frlfi::experiments::DEFAULT_SEED;
 use frlfi::fault::FaultSide;
@@ -46,11 +46,15 @@ fn grid_cells() -> Vec<GridTrial> {
 
 #[test]
 fn fig3_test_scale_trials_match_pre_fast_path_values_bitwise() {
+    // One cache across all six trials, as a campaign worker holds it:
+    // episodes 40, 40, 125, 125, 90, 90 resume forward, hit exactly and
+    // fall back to training from scratch.
     let cells = grid_cells();
+    let mut prefix = GridPrefix::default();
     for (ci, cell) in cells.iter().enumerate() {
         for r in 0..2u64 {
             let seed = derive_seed(DEFAULT_SEED, ci as u64 * 2 + r);
-            let v = run_grid_trial(cell, seed).expect("golden trial runs");
+            let v = run_grid_trial(cell, seed, &mut prefix).expect("golden trial runs");
             assert_eq!(
                 v.to_bits(),
                 GRID_GOLDEN_BITS[ci * 2 + r as usize],
@@ -67,7 +71,7 @@ fn fig3_test_scale_campaign_statistics_unchanged() {
     // the seed build — this is the campaign-level statistics gate.
     let cells = grid_cells();
     let stats = frlfi::fault::sweep_with_threads(&cells, 2, DEFAULT_SEED, 3, |t, seed| {
-        frlfi::experiments::harness::run_grid_trial(t, seed).expect("golden trial runs")
+        run_grid_trial(t, seed, &mut GridPrefix::default()).expect("golden trial runs")
     });
     for (ci, s) in stats.iter().enumerate() {
         let golden: Vec<f64> =
@@ -152,7 +156,9 @@ fn run_golden_campaign(scenario: &frlfi_campaign::Scenario, golden: &[[f64; 2]],
         assert_eq!(s.std.to_bits(), expect.std.to_bits(), "cell {cell} std drifted");
         for (r, &g) in reps.iter().enumerate() {
             let seed = derive_seed(campaign.master_seed, (cell * 2 + r) as u64);
-            let v = campaign.run_trial(cell, seed).expect("golden trial runs");
+            let v = campaign
+                .run_trial(cell, seed, &mut GridPrefix::default())
+                .expect("golden trial runs");
             assert_eq!(
                 v.to_bits(),
                 g.to_bits(),
@@ -283,7 +289,8 @@ fn run_drone_variant_golden(name: &str, golden_bits: &[u64; 4], summary: &str) {
             stats[cell].mean
         );
         let seed = derive_seed(campaign.master_seed, (cell * campaign.repeats) as u64);
-        let v = campaign.run_trial(cell, seed).expect("golden trial runs");
+        let v =
+            campaign.run_trial(cell, seed, &mut GridPrefix::default()).expect("golden trial runs");
         assert_eq!(v.to_bits(), bits, "{name} cell {cell}: trial value {v} drifted");
     }
     let text = std::fs::read_to_string(dir.join("summary.txt")).expect("summary written");
@@ -307,11 +314,12 @@ fn committed_grid_dropout_smoke_summary_matches_a_fresh_single_process_run() {
     // single-process, single-thread output of that smoke builtin. CI
     // diffs the summaries its CLI runs produce against these exact
     // files — grid-dropout after a 2-process run with one worker
-    // SIGKILLed mid-flight, fig3a and the drone variants after plain
-    // multi-threaded runs — so they must stay fresh.
+    // SIGKILLed mid-flight, fig3a, grid-dynamic and the drone variants
+    // after plain multi-threaded runs — so they must stay fresh.
     for (builtin, file) in [
         ("grid-dropout", "grid_dropout_smoke_summary.txt"),
         ("fig3a", "fig3a_smoke_summary.txt"),
+        ("grid-dynamic", "grid_dynamic_smoke_summary.txt"),
         ("drone-dynamic", "drone_dynamic_smoke_summary.txt"),
         ("drone-dropout", "drone_dropout_smoke_summary.txt"),
     ] {
@@ -383,6 +391,51 @@ fn grid_training_weights_match_pinned_golden() {
         GRID_TRAINED_WEIGHTS_DIGEST,
         "trained grid weights drifted from the pinned golden"
     );
+}
+
+/// Digests of two smoke-scale GridWorld trial fleets after 130
+/// training episodes, captured through `GridFrlSystem::train` before
+/// trials resumed from a cached fault-free prefix: a fig7a-style server
+/// fault (BER 0.2 at episode 40) with checkpoint mitigation, and a
+/// grid-dynamic agent fault (BER 0.2 at episode 40). Seeds are the
+/// builtins' trial seeds of those cells.
+const FIG7A_TRIAL_WEIGHTS_DIGEST: u64 = 0xfcb6530ba912cd13;
+const GRID_DYNAMIC_TRIAL_WEIGHTS_DIGEST: u64 = 0x0f9472214399d434;
+
+#[test]
+fn grid_trial_weights_match_pinned_goldens_cold_and_warm() {
+    use frlfi::experiments::harness::train_grid_trial;
+    use frlfi::rl::Learner as _;
+    let fig7a = GridTrial::new(3, 130).with_mitigation(frlfi::TrainingMitigation {
+        p_percent: 25.0,
+        k_consecutive: 4,
+        checkpoint_interval: 5,
+    });
+    let dynamic =
+        GridTrial { layout: frlfi::GridLayout::DynamicObstacles, ..GridTrial::new(3, 130) };
+    let cases = [
+        (fig7a, FaultSide::ServerSide, DEFAULT_SEED ^ 0x7A, 4, FIG7A_TRIAL_WEIGHTS_DIGEST),
+        (dynamic, FaultSide::AgentSide, DEFAULT_SEED ^ 0xD1A, 8, GRID_DYNAMIC_TRIAL_WEIGHTS_DIGEST),
+    ];
+    for (base, side, master, flat, golden) in cases {
+        let t = base.clone().with_fault(TrialFault::transient_int8(side, 40, 0.2));
+        let seed = derive_seed(master, flat);
+        let digest = |prefix: &mut GridPrefix| {
+            let sys = train_grid_trial(&t, seed, prefix).expect("golden trial trains");
+            let w: Vec<f32> =
+                (0..sys.n_agents()).flat_map(|i| sys.agent(i).network().snapshot()).collect();
+            weight_digest(&w)
+        };
+        // Cold; warm, resuming forward from another trial's episode-10
+        // prefix; warm, hitting another seed's episode-40 prefix.
+        let mut warm = GridPrefix::default();
+        assert_eq!(digest(&mut GridPrefix::default()), golden, "{side:?}: cold cache");
+        let early = base.clone().with_fault(TrialFault::transient_int8(side, 10, 0.2));
+        train_grid_trial(&early, seed ^ 1, &mut warm).expect("prefix trial trains");
+        assert_eq!(digest(&mut warm), golden, "{side:?}: resumed from episode 10");
+        train_grid_trial(&t, seed ^ 2, &mut warm).expect("prefix trial trains");
+        assert_eq!(digest(&mut warm), golden, "{side:?}: resumed at episode 40");
+    }
 }
 
 #[test]
